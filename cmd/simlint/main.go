@@ -1,5 +1,5 @@
 // Command simlint is the simulator's determinism-and-invariant checker:
-// a multichecker running the six analyzers in internal/lint/checks over
+// a multichecker running the nine analyzers in internal/lint/checks over
 // the whole module. It is the compile-time half of the determinism
 // contract — the byte-identical double-run CI gates are the runtime
 // half. Exit codes follow go vet: 0 clean, 1 findings, 2 usage or

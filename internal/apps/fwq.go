@@ -12,6 +12,7 @@ import (
 
 	"mkos/internal/noise"
 	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 // FWQConfig configures a Fixed Work Quanta run. FWQ performs a fixed amount
@@ -117,6 +118,7 @@ func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfile
 		return nil, nil, ErrBadFWQConfig
 	}
 	p := prof.NoiseProfile()
+	counters := p.Counters(telemetry.Default())
 	base := sim.NewRand(seed)
 	analyses := make([]noise.Analysis, 0, nodes)
 	runs := make([]*FWQRun, 0, nodes)
@@ -124,7 +126,7 @@ func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfile
 		if err := ctx.Err(); err != nil {
 			return analyses, runs, err
 		}
-		tl := p.Timeline(cfg.Duration, base.Derive(int64(n)))
+		tl := p.TimelineTo(counters, cfg.Duration, base.Derive(int64(n)))
 		run, err := RunFWQ(cfg, tl)
 		if err != nil {
 			return nil, nil, err

@@ -10,6 +10,7 @@ import (
 	"mkos/internal/noise"
 	"mkos/internal/shard"
 	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 // This file is the full-machine FWQ campaign of Sec. 6.3, restaged on the
@@ -138,6 +139,9 @@ func (m *fwqMachineModel) Setup(s *shard.Shard) error {
 	base := sim.NewRand(m.cfg.Seed)
 	base.Skip(s.Nodes.Lo)
 	at := sim.Time(m.cfg.Duration)
+	// The node events publish into the shard's own sink, through one set
+	// of counter handles per class.
+	counters := make([]*noise.Counters, len(m.cfg.Classes))
 	for n := s.Nodes.Lo; n < s.Nodes.Hi; n++ {
 		seed := base.DeriveSeed(int64(n))
 		cls := m.classOf(n)
@@ -146,13 +150,17 @@ func (m *fwqMachineModel) Setup(s *shard.Shard) error {
 				ErrBadMachineConfig, n, cls, len(m.cfg.Classes))
 		}
 		node, class := n, m.cfg.Classes[cls]
+		if counters[cls] == nil {
+			counters[cls] = class.Profile.Counters(s.Sink)
+		}
+		c := counters[cls]
 		s.Engine.ScheduleAt(at, "fwq-node", func(e *sim.Engine) {
 			// The node's whole benchmark collapses into this one event: it
 			// fires at the instant the run completes, builds the timeline
 			// from the node's derived stream, sketches the iterations and
 			// reports the digest. A failure is a typed panic the runner
 			// converts into a shard error.
-			tl := class.Profile.Timeline(m.cfg.Duration, sim.NewRand(seed))
+			tl := class.Profile.TimelineTo(c, m.cfg.Duration, sim.NewRand(seed))
 			sk, err := RunFWQSketch(FWQConfig{
 				Work: m.cfg.Work, Duration: m.cfg.Duration, Cores: class.Cores,
 			}, tl)
@@ -256,8 +264,14 @@ func FWQMachineContext(ctx context.Context, cfg FWQMachineConfig) (*FWQMachineRe
 		Digests: m.digests,
 		Worst:   []FWQWorstNode{},
 	}
+	counters := make([]*noise.Counters, len(cfg.Classes))
+	sink := telemetry.Default()
 	for _, n := range worstNodes(m.digests, cfg.WorstK) {
-		w, err := rerunWorst(cfg, m.classOf, n, m.digests[n])
+		cls := m.classOf(n)
+		if counters[cls] == nil {
+			counters[cls] = cfg.Classes[cls].Profile.Counters(sink)
+		}
+		w, err := rerunWorst(cfg, cls, counters[cls], n, m.digests[n])
 		if err != nil {
 			return nil, sres, err
 		}
@@ -305,13 +319,13 @@ func worstNodes(ds []FWQDigest, k int) []int {
 // rerunWorst replays one selected node with full per-iteration recording.
 // Skip(node) advances the base generator exactly as the node's predecessors
 // did in the sequential derivation, so the re-run sees the identical
-// timeline the sketch summarized.
-func rerunWorst(cfg FWQMachineConfig, classOf func(int) int, node int, d FWQDigest) (FWQWorstNode, error) {
-	cls := classOf(node)
+// timeline the sketch summarized. Its timeline publishes into c, the
+// counters of the node's class cls.
+func rerunWorst(cfg FWQMachineConfig, cls int, c *noise.Counters, node int, d FWQDigest) (FWQWorstNode, error) {
 	class := cfg.Classes[cls]
 	base := sim.NewRand(cfg.Seed)
 	base.Skip(node)
-	tl := class.Profile.Timeline(cfg.Duration, sim.NewRand(base.DeriveSeed(int64(node))))
+	tl := class.Profile.TimelineTo(c, cfg.Duration, sim.NewRand(base.DeriveSeed(int64(node))))
 	run, err := RunFWQ(FWQConfig{Work: cfg.Work, Duration: cfg.Duration, Cores: class.Cores}, tl)
 	if err != nil {
 		return FWQWorstNode{}, fmt.Errorf("fwq machine: re-running node %d: %w", node, err)

@@ -5,6 +5,7 @@ import (
 
 	"mkos/internal/noise"
 	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 // FWQSketch is the memory-efficient FWQ result for one node: per-core noise
@@ -84,10 +85,11 @@ func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int
 		return nil, ErrBadFWQConfig
 	}
 	p := prof.NoiseProfile()
+	counters := p.Counters(telemetry.Default())
 	base := sim.NewRand(seed)
 	out := make([]*FWQSketch, 0, nodes)
 	for n := 0; n < nodes; n++ {
-		tl := p.Timeline(cfg.Duration, base.Derive(int64(n)))
+		tl := p.TimelineTo(counters, cfg.Duration, base.Derive(int64(n)))
 		sk, err := RunFWQSketch(cfg, tl)
 		if err != nil {
 			return nil, err

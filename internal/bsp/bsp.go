@@ -104,6 +104,10 @@ type Machine struct {
 	Cores          []int // application cores on each node
 	RanksPerNode   int
 	ThreadsPerRank int
+
+	// Sink receives the run's telemetry. Nil means the sink of the scope
+	// Run is called in, resolved once per run.
+	Sink *telemetry.Sink
 }
 
 // Validate reports configuration errors.
@@ -197,7 +201,11 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 
 	// Sample per-step noise delays: for every node, bucket its interruption
 	// timeline into step windows and keep the global per-step maximum.
-	noiseDelay := sampleStepNoise(m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed)
+	sink := m.Sink
+	if sink == nil {
+		sink = telemetry.Default()
+	}
+	noiseDelay := sampleStepNoise(sink, m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed)
 
 	var total time.Duration
 	for _, d := range noiseDelay {
@@ -222,8 +230,8 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 		runtime = time.Duration(float64(runtime) * factor)
 	}
 
-	telemetry.C("bsp.runs").Inc()
-	telemetry.H("bsp.runtime_s", runtimeBuckets).Observe(runtime.Seconds())
+	sink.C("bsp.runs").Inc()
+	sink.H("bsp.runtime_s", runtimeBuckets).Observe(runtime.Seconds())
 	return Result{
 		App: w.Name, OS: m.OS.Name(), Nodes: nodes,
 		Runtime: runtime, Breakdown: b,
@@ -234,8 +242,9 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 var runtimeBuckets = telemetry.ExpBuckets(0.25, 2, 14)
 
 // sampleStepNoise returns, for each step, the maximum interruption time any
-// rank in the whole job suffers inside that step's window.
-func sampleStepNoise(profile *noise.Profile, cores []int, nodes, steps int,
+// rank in the whole job suffers inside that step's window. The nodes'
+// timelines publish into sink.
+func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, nodes, steps int,
 	init, stepBusy time.Duration, horizon time.Duration, seed int64) []time.Duration {
 
 	delays := make([]time.Duration, steps)
@@ -243,8 +252,9 @@ func sampleStepNoise(profile *noise.Profile, cores []int, nodes, steps int,
 		return delays
 	}
 	base := sim.NewRand(seed)
+	counters := profile.Counters(sink)
 	for n := 0; n < nodes; n++ {
-		tl := profile.Timeline(horizon, base.Derive(int64(n)))
+		tl := profile.TimelineTo(counters, horizon, base.Derive(int64(n)))
 		for _, core := range cores {
 			perStep := map[int]time.Duration{}
 			for _, iv := range tl.ForCPU(core) {

@@ -15,6 +15,7 @@ import (
 	"mkos/internal/interconnect"
 	"mkos/internal/linux"
 	"mkos/internal/mckernel"
+	"mkos/internal/telemetry"
 )
 
 // OSKind selects the node operating system.
@@ -163,6 +164,12 @@ func (p *Platform) NewNodeAt(idx int, kind OSKind) (*Node, error) {
 // script can fail (Sec. 5.1). The fault injector uses this to model IHK
 // reservation failures; an empty Hooks value is the normal path.
 func (p *Platform) NewNodeAtWithHooks(idx int, kind OSKind, hooks ihk.Hooks) (*Node, error) {
+	return p.newNode(nil, idx, kind, hooks)
+}
+
+// newNode boots the node at idx with the given IHK hooks. A McKernel node's
+// LWK publishes into sink; nil means the sink of the calling scope.
+func (p *Platform) newNode(sink *telemetry.Sink, idx int, kind OSKind, hooks ihk.Hooks) (*Node, error) {
 	topo := p.NewTopology
 	if p.TopologyAt != nil {
 		topoAt := p.TopologyAt
@@ -188,7 +195,7 @@ func (p *Platform) NewNodeAtWithHooks(idx int, kind OSKind, hooks ihk.Hooks) (*N
 	if err != nil {
 		return nil, fmt.Errorf("cluster: booting partition: %w", err)
 	}
-	lwk, err := mckernel.Boot(host, part, mckernel.DefaultConfig())
+	lwk, err := mckernel.BootTo(sink, host, part, mckernel.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: booting McKernel: %w", err)
 	}
@@ -265,12 +272,22 @@ func (p *Platform) BindRanks(g bsp.Geometry) ([]Binding, error) {
 	return out, nil
 }
 
-// Machine builds the bsp.Machine for a job on this platform.
+// Machine builds the bsp.Machine for a job on this platform. The node
+// publishes into the sink of the scope Machine is called in; the machine
+// carries no sink, so its runs publish into the sink of the scope they run
+// in.
 func (p *Platform) Machine(kind OSKind, g bsp.Geometry) (bsp.Machine, *Node, error) {
 	if err := p.Validate(g); err != nil {
 		return bsp.Machine{}, nil, err
 	}
-	node, err := p.NewNode(kind)
+	return p.machine(nil, kind, g, ihk.Hooks{})
+}
+
+// machine boots one representative node (index 1) with the given IHK hooks
+// and wraps it in the bsp machine description. The node and the machine's
+// runs publish into sink; nil means the sink of the calling scope.
+func (p *Platform) machine(sink *telemetry.Sink, kind OSKind, g bsp.Geometry, hooks ihk.Hooks) (bsp.Machine, *Node, error) {
+	node, err := p.newNode(sink, 1, kind, hooks)
 	if err != nil {
 		return bsp.Machine{}, nil, err
 	}
@@ -280,6 +297,7 @@ func (p *Platform) Machine(kind OSKind, g bsp.Geometry) (bsp.Machine, *Node, err
 		Cores:          node.AppCores(),
 		RanksPerNode:   g.RanksPerNode,
 		ThreadsPerRank: g.ThreadsPerRank,
+		Sink:           sink,
 	}, node, nil
 }
 

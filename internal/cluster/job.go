@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mkos/internal/bsp"
+	"mkos/internal/ihk"
 	"mkos/internal/telemetry"
 )
 
@@ -87,6 +88,7 @@ type JobScheduler struct {
 	Platform    *Platform
 	Integration Integration
 
+	sink      *telemetry.Sink // receives the scheduler's and its jobs' telemetry
 	nextID    int
 	completed []*Job
 	failed    []*Job
@@ -100,13 +102,18 @@ const (
 )
 
 // NewJobScheduler builds the batch system for a platform with its native
-// integration style.
+// integration style. It and the jobs it runs publish into the sink of the
+// scope it is built in.
 func NewJobScheduler(p *Platform) *JobScheduler {
+	return newJobScheduler(p, telemetry.Default())
+}
+
+func newJobScheduler(p *Platform, sink *telemetry.Sink) *JobScheduler {
 	integ := PrologueEpilogue
 	if p.Name == "fugaku" {
 		integ = TCSIntegrated
 	}
-	return &JobScheduler{Platform: p, Integration: integ}
+	return &JobScheduler{Platform: p, Integration: integ, sink: sink}
 }
 
 // Job-system errors.
@@ -121,7 +128,7 @@ func (js *JobScheduler) fail(job *Job, err error) error {
 	job.State = JobFailed
 	job.Err = err
 	js.failed = append(js.failed, job)
-	telemetry.C("cluster.jobs.failed").Inc()
+	js.sink.C("cluster.jobs.failed").Inc()
 	return err
 }
 
@@ -134,7 +141,7 @@ func (js *JobScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, os OSK
 		ID: js.nextID, Workload: w, Geometry: g, Nodes: nodes, OS: os,
 		StopPMUReads: true, Seed: seed, State: JobQueued, Attempts: 1,
 	}
-	telemetry.C("cluster.jobs.submitted").Inc()
+	js.sink.C("cluster.jobs.submitted").Inc()
 	if nodes < 1 || nodes > js.Platform.MaxNodes {
 		return job, js.fail(job, fmt.Errorf("%w: %d > %d", ErrTooManyNodes, nodes, js.Platform.MaxNodes))
 	}
@@ -142,7 +149,7 @@ func (js *JobScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, os OSK
 		return job, js.fail(job, fmt.Errorf("%w: %v", ErrJobGeometry, err))
 	}
 
-	machine, _, err := js.Platform.Machine(os, g)
+	machine, _, err := js.Platform.machine(js.sink, os, g, ihk.Hooks{})
 	if err != nil {
 		return job, js.fail(job, err)
 	}
@@ -159,7 +166,7 @@ func (js *JobScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, os OSK
 	job.Result = res
 	job.State = JobCompleted
 	js.completed = append(js.completed, job)
-	telemetry.C("cluster.jobs.completed").Inc()
+	js.sink.C("cluster.jobs.completed").Inc()
 	return job, nil
 }
 
@@ -171,7 +178,7 @@ func (js *JobScheduler) SubmitWithPMUReads(w bsp.Workload, g bsp.Geometry, nodes
 		ID: js.nextID, Workload: w, Geometry: g, Nodes: nodes, OS: os,
 		StopPMUReads: false, Seed: seed, State: JobQueued, Attempts: 1,
 	}
-	telemetry.C("cluster.jobs.submitted").Inc()
+	js.sink.C("cluster.jobs.submitted").Inc()
 	if err := js.Platform.Validate(g); err != nil {
 		return job, js.fail(job, err)
 	}
@@ -179,7 +186,7 @@ func (js *JobScheduler) SubmitWithPMUReads(w bsp.Workload, g bsp.Geometry, nodes
 	tune := clone.Tuning
 	tune.Counter.StopPMUReads = false
 	clone.Tuning = tune
-	machine, _, err := clone.Machine(os, g)
+	machine, _, err := clone.machine(js.sink, os, g, ihk.Hooks{})
 	if err != nil {
 		return job, js.fail(job, err)
 	}
@@ -191,7 +198,7 @@ func (js *JobScheduler) SubmitWithPMUReads(w bsp.Workload, g bsp.Geometry, nodes
 	job.Result = res
 	job.State = JobCompleted
 	js.completed = append(js.completed, job)
-	telemetry.C("cluster.jobs.completed").Inc()
+	js.sink.C("cluster.jobs.completed").Inc()
 	return job, nil
 }
 

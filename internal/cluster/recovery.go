@@ -107,7 +107,9 @@ type ResilientScheduler struct {
 	blacklisted  map[int]bool
 }
 
-// NewResilientScheduler builds the fault-aware batch system.
+// NewResilientScheduler builds the fault-aware batch system. The scheduler,
+// its failure report and the nodes and runs of its jobs publish into the
+// sink of the scope it is built in.
 func NewResilientScheduler(p *Platform, inj *fault.Injector, pol RecoveryPolicy) (*ResilientScheduler, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
@@ -115,16 +117,17 @@ func NewResilientScheduler(p *Platform, inj *fault.Injector, pol RecoveryPolicy)
 	if inj == nil {
 		inj = fault.NewInjector(fault.Rates{}, 0)
 	}
+	sink := telemetry.Default()
 	eng := sim.NewEngine()
-	// Every event the recovery machinery schedules lands in the shared
+	// Every event the recovery machinery schedules lands in the sink's
 	// profiler: per-handler counts, queue-depth high-water mark.
-	telemetry.AttachEngine(eng)
+	sink.AttachEngine(eng)
 	return &ResilientScheduler{
-		JobScheduler: NewJobScheduler(p),
+		JobScheduler: newJobScheduler(p, sink),
 		Injector:     inj,
 		Policy:       pol,
 		Engine:       eng,
-		Report:       &fault.FailureReport{Seed: inj.Seed()},
+		Report:       fault.NewFailureReport(inj.Seed(), sink),
 		nodeFailures: make(map[int]int),
 		blacklisted:  make(map[int]bool),
 	}, nil
@@ -155,25 +158,9 @@ func (rs *ResilientScheduler) noteNodeFailure(node int) {
 	if rs.Policy.BlacklistAfter > 0 && rs.nodeFailures[node] >= rs.Policy.BlacklistAfter && !rs.blacklisted[node] {
 		rs.blacklisted[node] = true
 		rs.Report.Blacklist(node)
-		telemetry.C("cluster.nodes.blacklisted").Inc()
-		telemetry.Instant("cluster", "blacklist", node, 0, rs.Engine.Now())
+		rs.sink.C("cluster.nodes.blacklisted").Inc()
+		rs.sink.Instant("cluster", "blacklist", node, 0, rs.Engine.Now())
 	}
-}
-
-// buildMachine boots one representative node (with fallible IHK hooks) and
-// wraps it in the bsp machine description, mirroring Platform.Machine.
-func (rs *ResilientScheduler) buildMachine(kind OSKind, g bsp.Geometry, hooks ihk.Hooks) (bsp.Machine, *Node, error) {
-	node, err := rs.Platform.NewNodeAtWithHooks(1, kind, hooks)
-	if err != nil {
-		return bsp.Machine{}, nil, err
-	}
-	return bsp.Machine{
-		OS:             node.OS(),
-		Fabric:         rs.Platform.Fabric,
-		Cores:          node.AppCores(),
-		RanksPerNode:   g.RanksPerNode,
-		ThreadsPerRank: g.ThreadsPerRank,
-	}, node, nil
 }
 
 // Submit runs a job under fault injection. It returns when the job has
@@ -187,7 +174,7 @@ func (rs *ResilientScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, 
 		StopPMUReads: true, Seed: seed, State: JobQueued,
 	}
 	rs.Report.Jobs++
-	telemetry.C("cluster.jobs.submitted").Inc()
+	rs.sink.C("cluster.jobs.submitted").Inc()
 	if nodes < 1 || nodes > rs.Platform.MaxNodes {
 		return job, rs.fail(job, fmt.Errorf("%w: %d > %d", ErrTooManyNodes, nodes, rs.Platform.MaxNodes))
 	}
@@ -248,7 +235,7 @@ func (rs *ResilientScheduler) runAttempt(job *Job, os OSKind, seed int64, n, lwk
 	job.Attempts = n + 1
 	job.OS = os
 	job.State = JobRunning
-	telemetry.C("cluster.attempts").Inc()
+	rs.sink.C("cluster.attempts").Inc()
 	a := &attempt{job: job, os: os, seed: seed, n: n, lwkFailures: lwkFailures, start: e.Now()}
 
 	nodeIDs, ok := rs.assignNodes(job.Nodes)
@@ -281,7 +268,7 @@ func (rs *ResilientScheduler) runAttempt(job *Job, os OSKind, seed int64, n, lwk
 		}
 	}
 
-	machine, node, err := rs.buildMachine(os, job.Geometry, hooks)
+	machine, node, err := rs.Platform.machine(rs.sink, os, job.Geometry, hooks)
 	if len(prologueFailed) > 0 {
 		// The prologue script fails after burning its boot time.
 		job.Overhead += prologue
@@ -344,7 +331,7 @@ func (rs *ResilientScheduler) runAttempt(job *Job, os OSKind, seed int64, n, lwk
 // attempt's first node, the span runs from prologue start to the instant the
 // outcome was known (completion, or detection for dead attempts).
 func (rs *ResilientScheduler) attemptSpan(a *attempt, outcome string) {
-	if !telemetry.TraceEnabled() {
+	if !rs.sink.TraceEnabled() {
 		return
 	}
 	pid := 0
@@ -352,7 +339,7 @@ func (rs *ResilientScheduler) attemptSpan(a *attempt, outcome string) {
 		pid = a.nodeIDs[0]
 	}
 	now := rs.Engine.Now()
-	telemetry.Span("cluster", fmt.Sprintf("job%d/a%d", a.job.ID, a.n), pid, 0,
+	rs.sink.Span("cluster", fmt.Sprintf("job%d/a%d", a.job.ID, a.n), pid, 0,
 		a.start, sim.Duration(now.Sub(a.start)),
 		telemetry.Arg{Key: "outcome", Val: outcome},
 		telemetry.Arg{Key: "os", Val: a.os.String()})
@@ -366,7 +353,7 @@ func (rs *ResilientScheduler) onFault(a *attempt, f fault.Fault) {
 	a.theFault = f
 	a.faultAt = e.Now()
 	rs.Report.AddFault(f.Kind)
-	telemetry.Instant("cluster", "fault:"+f.Kind.String(), f.Node, 0, e.Now())
+	rs.sink.Instant("cluster", "fault:"+f.Kind.String(), f.Node, 0, e.Now())
 	e.Cancel(a.complete)
 
 	switch f.Kind {
@@ -462,10 +449,10 @@ func (rs *ResilientScheduler) retry(a *attempt, nextOS OSKind, lwkFailures int, 
 	}
 	if fellBack {
 		job.FellBack = true
-		telemetry.C("cluster.fallbacks").Inc()
+		rs.sink.C("cluster.fallbacks").Inc()
 	}
 	rs.Report.Retries++
-	telemetry.C("cluster.retries").Inc()
+	rs.sink.C("cluster.retries").Inc()
 	backoff := rs.Policy.Backoff(a.n)
 	rs.Engine.Schedule(backoff, fmt.Sprintf("job%d-retry%d", job.ID, a.n+1), func(*sim.Engine) {
 		rs.runAttempt(job, nextOS, a.seed, a.n+1, lwkFailures)
@@ -486,7 +473,7 @@ func (rs *ResilientScheduler) onComplete(a *attempt, res bsp.Result) {
 	job.Err = nil
 	rs.completed = append(rs.completed, job)
 	rs.Report.Completed++
-	telemetry.C("cluster.jobs.completed").Inc()
+	rs.sink.C("cluster.jobs.completed").Inc()
 	if job.FellBack {
 		rs.Report.Fallbacks++
 	}

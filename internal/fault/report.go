@@ -32,6 +32,14 @@ type FailureReport struct {
 	Makespan          time.Duration // simulated clock at experiment end
 
 	BlacklistedNodes []int // global node ids, ascending
+
+	sink *telemetry.Sink // receives the fault counters; nil means Default()
+}
+
+// NewFailureReport starts the report of the experiment with the given
+// seed, publishing its fault counters into sink.
+func NewFailureReport(seed int64, sink *telemetry.Sink) *FailureReport {
+	return &FailureReport{Seed: seed, sink: sink}
 }
 
 // TotalInjected sums faults across kinds.
@@ -58,7 +66,7 @@ var detectLatencyBuckets = telemetry.ExpBuckets(1, 4, 8)
 // AddFault records one injected fault.
 func (r *FailureReport) AddFault(k Kind) {
 	r.Injected[k]++
-	telemetry.C("fault.injected." + k.String()).Inc()
+	r.sink.C("fault.injected." + k.String()).Inc()
 }
 
 // AddDetection records the monitor noticing a fault lat after it struck.
@@ -68,8 +76,8 @@ func (r *FailureReport) AddDetection(lat time.Duration) {
 	if lat > r.DetectLatMax {
 		r.DetectLatMax = lat
 	}
-	telemetry.C("fault.detections").Inc()
-	telemetry.H("fault.detect_latency_ms", detectLatencyBuckets).
+	r.sink.C("fault.detections").Inc()
+	r.sink.H("fault.detect_latency_ms", detectLatencyBuckets).
 		Observe(float64(lat) / float64(time.Millisecond))
 }
 

@@ -85,7 +85,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 
 // LoadModule walks the module rooted at root (the directory holding
 // go.mod) and loads every non-test package under it, skipping testdata,
-// vendor and hidden directories. Packages come back sorted by import
+// vendor and hidden directories, and nested modules (a subdirectory with
+// its own go.mod is not part of this module, as for go build ./...). Packages come back sorted by import
 // path. Intra-module imports are resolved by the loader itself, so each
 // package is type-checked once no matter how many importers it has.
 func (l *Loader) LoadModule(root string) ([]*Package, error) {
@@ -109,6 +110,9 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		if path != root && fileExists(filepath.Join(path, "go.mod")) {
 			return filepath.SkipDir
 		}
 		if hasGoFiles(path) {
@@ -218,6 +222,12 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
+}
+
+// fileExists reports whether path names an existing regular file.
+func fileExists(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Mode().IsRegular()
 }
 
 // modulePath extracts the module declaration from a go.mod file.

@@ -40,6 +40,12 @@ func TestSinkdiscipline(t *testing.T) {
 	linttest.Run(t, checks.Sinkdiscipline, "testdata/sinkdiscipline", "mkos/internal/fake/sinkdiscipline")
 }
 
+// TestSinkdisciplineOpsAllowlist loads helper and installer calls under a
+// cmd/ path, where entry points may use them: zero findings expected.
+func TestSinkdisciplineOpsAllowlist(t *testing.T) {
+	linttest.Run(t, checks.Sinkdiscipline, "testdata/sinkdiscipline_ops", "mkos/cmd/fake")
+}
+
 func TestSimtime(t *testing.T) {
 	linttest.Run(t, checks.Simtime, "testdata/simtime", "mkos/internal/fake/simtime")
 }

@@ -309,15 +309,16 @@ func (op *opstaintPass) checkSinks(fd *ast.FuncDecl) {
 	})
 }
 
-// deterministicSink reports whether call publishes into the
-// goroutine-local deterministic sink. Package-level telemetry functions
-// (C, G, H, Span, Instant) always do; a metric method (Observe, Set,
-// Add) does only when its receiver chain originates in one of those
-// helpers — telemetry.G("x").Set(v) — because a handle held in a field
-// typically points at a private ops registry (simd's submit latency,
-// shardops' barrier waits), where host observations are the point.
+// deterministicSink reports whether call publishes into a deterministic
+// sink. Package-level telemetry functions (C, G, H, Span, Instant) and the
+// same-named methods of a *telemetry.Sink always do; a metric method
+// (Observe, Set, Add) does only when its receiver chain originates in one
+// of those — telemetry.G("x").Set(v), sink.G("x").Set(v) — because a
+// handle held in a field typically points at a private ops registry
+// (simd's submit latency, shardops' barrier waits), where host
+// observations are the point.
 func (op *opstaintPass) deterministicSink(call *ast.CallExpr, obj types.Object) bool {
-	if !isMethod(obj) {
+	if !isMethod(obj) || isSinkMethod(obj) {
 		return true
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -328,7 +329,7 @@ func (op *opstaintPass) deterministicSink(call *ast.CallExpr, obj types.Object) 
 		switch x := e.(type) {
 		case *ast.CallExpr:
 			if o := calleeObj(op.pass.TypesInfo, x); o != nil &&
-				fromPkg(o, "internal/telemetry") && !isMethod(o) {
+				fromPkg(o, "internal/telemetry") && (!isMethod(o) || isSinkMethod(o)) {
 				return true
 			}
 			e = ast.Unparen(x.Fun)
@@ -340,6 +341,25 @@ func (op *opstaintPass) deterministicSink(call *ast.CallExpr, obj types.Object) 
 			return false
 		}
 	}
+}
+
+// isSinkMethod reports whether obj is one of the publish methods of
+// telemetry.Sink (see sinkHelpers).
+func isSinkMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || !sinkHelpers[fn.Name()] {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Sink" && fromPkg(named.Obj(), "internal/telemetry")
 }
 
 // isSimTime reports whether t is the sim package's Time type.

@@ -6,26 +6,35 @@ import (
 	"mkos/internal/lint/analysis"
 )
 
-// Sinkdiscipline keeps trial-unit code on the goroutine-local telemetry
-// sink.
+// Sinkdiscipline keeps model code on the sink it was handed.
 //
-// The sweep orchestrator isolates every trial by installing a private
-// sink for the worker goroutine (telemetry.RunWith) and folding the
-// per-trial snapshots in key order afterwards. That isolation holds only
-// if the code running inside a trial publishes through the package-level
-// helpers (telemetry.C/G/H/Span/Instant), which resolve to the
-// goroutine-local sink. A trial-unit package that calls
-// telemetry.SetDefault or telemetry.Reset swaps the process-wide sink
-// under every concurrent trial, and one that nests telemetry.RunWith
-// re-installs sinks the orchestrator owns — both bleed deterministic
-// metrics into the ops registry (or vice versa) in completion order,
-// which is exactly the nondeterminism the merge protocol exists to
-// prevent. Sink installation belongs to the orchestrator (internal/
-// sweep), to CLI plumbing under cmd/, and to tests (not linted).
+// Every simulation trial runs with a private sink installed for its
+// goroutine (telemetry.RunWith), and the sweep folds the per-trial
+// snapshots in key order afterwards. Finding that sink costs: Default
+// parses the goroutine id out of runtime.Stack, which takes the runtime's
+// global print lock, so with one sink live per CPU a lookup measured tens
+// of microseconds and concurrent trials serialised on it. Model code
+// therefore resolves the sink once where a public operation starts
+// (telemetry.Default, or a sink it is given) and publishes through the
+// *telemetry.Sink it holds. The analyzer enforces both halves of that
+// in model packages — everything outside the ops allowlist, which covers
+// cmd/, internal/sweep and tests (not linted):
+//
+//   - the package-level publish helpers (telemetry.C, G, H, Span,
+//     Instant, TraceEnabled, AttachEngine) are findings, because each call
+//     pays the lookup again;
+//   - the sink installers (telemetry.SetDefault, Reset, RunWith) are
+//     findings, because swapping the process-wide sink under concurrent
+//     trials, or re-installing sinks the orchestrator owns, bleeds
+//     deterministic metrics across trials in completion order.
+//
+// telemetry.Default itself stays legal: it is how an operation resolves
+// its sink. The shard runner, an orchestrator inside a model package,
+// installs its per-shard sinks under a reasoned suppression.
 var Sinkdiscipline = &analysis.Analyzer{
 	Name: "sinkdiscipline",
-	Doc: "trial-unit code must publish metrics through the goroutine-local sink; " +
-		"installing or replacing sinks (SetDefault/Reset/RunWith) is orchestrator-only",
+	Doc: "model code publishes through a *telemetry.Sink it holds, resolved once per operation; " +
+		"the package-level publish helpers and the sink installers (SetDefault/Reset/RunWith) are for entry points",
 	Run: runSinkdiscipline,
 }
 
@@ -33,6 +42,13 @@ var Sinkdiscipline = &analysis.Analyzer{
 // sink rather than publish into the current one.
 var sinkInstallers = map[string]bool{
 	"SetDefault": true, "Reset": true, "RunWith": true,
+}
+
+// sinkHelpers are the package-level publish helpers: each resolves the
+// goroutine's sink on every call.
+var sinkHelpers = map[string]bool{
+	"C": true, "G": true, "H": true, "Span": true, "Instant": true,
+	"TraceEnabled": true, "AttachEngine": true,
 }
 
 func runSinkdiscipline(pass *analysis.Pass) error {
@@ -49,16 +65,24 @@ func runSinkdiscipline(pass *analysis.Pass) error {
 				return true
 			}
 			obj := calleeObj(pass.TypesInfo, call)
-			if obj == nil || isMethod(obj) || !fromPkg(obj, "internal/telemetry") ||
-				!sinkInstallers[obj.Name()] {
+			if obj == nil || isMethod(obj) || !fromPkg(obj, "internal/telemetry") {
 				return true
 			}
-			pass.Reportf(call.Pos(),
-				"telemetry.%s in trial-unit package %s: deterministic metrics must flow through "+
-					"the goroutine-local sink the orchestrator installs (telemetry.RunWith in "+
-					"internal/sweep); replacing sinks here breaks per-trial isolation and mixes "+
-					"deterministic metrics with the ops registry",
-				obj.Name(), path)
+			switch name := obj.Name(); {
+			case sinkInstallers[name]:
+				pass.Reportf(call.Pos(),
+					"telemetry.%s in model package %s: deterministic metrics must flow through "+
+						"the sink the orchestrator installs (telemetry.RunWith in internal/sweep); "+
+						"replacing sinks here breaks per-trial isolation and mixes deterministic "+
+						"metrics with the ops registry",
+					name, path)
+			case sinkHelpers[name]:
+				pass.Reportf(call.Pos(),
+					"telemetry.%s in model package %s looks the sink up by goroutine id on every "+
+						"call: resolve it once where the operation starts (telemetry.Default, or a "+
+						"sink the caller hands in) and call %s on the *telemetry.Sink you hold",
+					name, path, name)
+			}
 			return true
 		})
 	}

@@ -32,6 +32,14 @@ func badTelemetry() {
 	telemetry.G("latency").Set(secs) // want "recorded in deterministic telemetry"
 }
 
+// badHeldSink publishes through a *telemetry.Sink the code holds: the
+// sink is as deterministic as the package-level helpers.
+func badHeldSink(sink *telemetry.Sink) {
+	secs := elapsed(time.Now()).Seconds()
+	sink.G("latency").Set(secs)                   // want "recorded in deterministic telemetry"
+	sink.Instant("ops", "lag", 0, 0, sim.Time(0)) // clean: no host value reaches it
+}
+
 // goodHostSide keeps the host observation in host-side state: no sink,
 // no finding (walltime polices the package boundary separately).
 func goodHostSide() time.Duration {

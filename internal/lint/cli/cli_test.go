@@ -53,6 +53,10 @@ func TestExitCodeContract(t *testing.T) {
 	clean := writeModule(t, map[string]string{"a/a.go": cleanSrc})
 	dirty := writeModule(t, map[string]string{"a/a.go": cleanSrc, "b/b.go": dirtySrc})
 	broken := writeModule(t, map[string]string{"c/c.go": brokenSrc})
+	// A nested module is not part of the module, as for go build ./...;
+	// its finding must not be reported.
+	nested := writeModule(t, map[string]string{"a/a.go": cleanSrc,
+		"sub/go.mod": "module fakemod/sub\n\ngo 1.22\n", "sub/b/b.go": dirtySrc})
 
 	tests := []struct {
 		name      string
@@ -62,6 +66,7 @@ func TestExitCodeContract(t *testing.T) {
 		stderrHas string
 	}{
 		{name: "clean tree", args: []string{"-dir", clean, "./..."}, want: cli.ExitClean},
+		{name: "nested module skipped", args: []string{"-dir", nested, "./..."}, want: cli.ExitClean},
 		{name: "findings", args: []string{"-dir", dirty}, want: cli.ExitFindings,
 			stdoutHas: "[walltime] wall-clock time.Now"},
 		{name: "findings as json", args: []string{"-json", "-dir", dirty}, want: cli.ExitFindings,

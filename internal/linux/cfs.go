@@ -20,6 +20,7 @@ import (
 type CFS struct {
 	engine *sim.Engine
 	cores  map[int]*cfsCore
+	sink   *telemetry.Sink // receives preemption counts and spans
 }
 
 type cfsCore struct {
@@ -60,9 +61,10 @@ func (h *vruntimeHeap) Pop() any {
 	return e
 }
 
-// NewCFS builds the scheduler over the given cores.
+// NewCFS builds the scheduler over the given cores. It publishes into the
+// sink of the scope it is built in.
 func NewCFS(engine *sim.Engine, cores []int) *CFS {
-	c := &CFS{engine: engine, cores: make(map[int]*cfsCore, len(cores))}
+	c := &CFS{engine: engine, cores: make(map[int]*cfsCore, len(cores)), sink: telemetry.Default()}
 	for _, id := range cores {
 		c.cores[id] = &cfsCore{id: id}
 	}
@@ -128,9 +130,9 @@ func (c *CFS) dispatch(cc *cfsCore) {
 	if run > cfsSlice {
 		run = cfsSlice
 	}
-	telemetry.C("linux.cfs.preemptions").Inc()
-	if telemetry.TraceEnabled() {
-		telemetry.Span("linux", "cfs:"+next.name, 0, cc.id, now, run,
+	c.sink.C("linux.cfs.preemptions").Inc()
+	if c.sink.TraceEnabled() {
+		c.sink.Span("linux", "cfs:"+next.name, 0, cc.id, now, run,
 			telemetry.Arg{Key: "kind", Val: next.kind.String()})
 	}
 	c.engine.Schedule(run, "cfs:"+next.name, func(e *sim.Engine) {

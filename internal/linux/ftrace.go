@@ -22,6 +22,7 @@ type Tracer struct {
 	events  []TraceEvent
 	limit   int
 	dropped uint64
+	sink    *telemetry.Sink // receives the forwarded events and counters
 	// Node keys the events this tracer forwards to the shared telemetry
 	// recorder; zero for single-node profiles.
 	Node int
@@ -36,12 +37,17 @@ type TraceEvent struct {
 	Len  time.Duration
 }
 
-// NewTracer returns a tracer with the given ring-buffer capacity.
+// NewTracer returns a tracer with the given ring-buffer capacity. It
+// publishes into the sink of the scope it is built in.
 func NewTracer(limit int) *Tracer {
+	return newTracer(limit, telemetry.Default())
+}
+
+func newTracer(limit int, sink *telemetry.Sink) *Tracer {
 	if limit <= 0 {
 		limit = 1 << 16
 	}
-	return &Tracer{limit: limit}
+	return &Tracer{limit: limit, sink: sink}
 }
 
 // Enable starts recording.
@@ -67,12 +73,12 @@ func (t *Tracer) Record(at sim.Time, cpu int, task string, kind kernel.TaskKind,
 		copy(t.events, t.events[1:])
 		t.events = t.events[:len(t.events)-1]
 		t.dropped++
-		telemetry.C("linux.ftrace.dropped").Inc()
+		t.sink.C("linux.ftrace.dropped").Inc()
 	}
 	t.events = append(t.events, TraceEvent{At: at, CPU: cpu, Task: task, Kind: kind, Len: d})
-	telemetry.C("linux.ftrace.events").Inc()
-	if telemetry.TraceEnabled() {
-		telemetry.Span("linux", task, t.Node, cpu, at, d,
+	t.sink.C("linux.ftrace.events").Inc()
+	if t.sink.TraceEnabled() {
+		t.sink.Span("linux", task, t.Node, cpu, at, d,
 			telemetry.Arg{Key: "kind", Val: kind.String()})
 	}
 }
@@ -129,8 +135,10 @@ func (t *Tracer) AttributeOn(cpus map[int]bool) []Attribution {
 // returns the per-source attribution on application cores — the end-to-end
 // "what interferes with my app cores" report of Sec. 4.2.1.
 func (k *Kernel) AttributeProfile(horizon time.Duration, seed int64) []Attribution {
-	tl := k.NoiseProfile().Timeline(horizon, sim.NewRand(seed))
-	tr := NewTracer(1 << 20)
+	sink := telemetry.Default()
+	prof := k.NoiseProfile()
+	tl := prof.TimelineTo(prof.Counters(sink), horizon, sim.NewRand(seed))
+	tr := newTracer(1<<20, sink)
 	tr.Enable()
 	appSet := map[int]bool{}
 	for _, c := range k.AppCores() {

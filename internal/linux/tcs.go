@@ -23,6 +23,7 @@ type TCSCollector struct {
 
 	samples []TCSSample
 	readOps uint64
+	sink    *telemetry.Sink // receives the collection counters and instants
 }
 
 // TCSSample is one fleet-wide counter snapshot.
@@ -35,7 +36,8 @@ type TCSSample struct {
 	Sleep     uint64
 }
 
-// NewTCSCollector builds the collector over one PMU per core.
+// NewTCSCollector builds the collector over one PMU per core. It publishes
+// into the sink of the scope it is built in.
 func NewTCSCollector(cores int, period time.Duration) *TCSCollector {
 	if period <= 0 {
 		period = 11 * time.Second
@@ -44,7 +46,7 @@ func NewTCSCollector(cores int, period time.Duration) *TCSCollector {
 	for i := range pmus {
 		pmus[i] = &cpu.PMU{}
 	}
-	return &TCSCollector{pmus: pmus, period: period}
+	return &TCSCollector{pmus: pmus, period: period, sink: telemetry.Default()}
 }
 
 // PMU returns core c's counter block (for workload models to account into).
@@ -77,8 +79,8 @@ func (t *TCSCollector) collect(at sim.Time) {
 		s.FPOps += snap.FPOps
 		t.readOps++
 	}
-	telemetry.C("linux.tcs.pmu_reads").Add(int64(len(t.pmus)))
-	telemetry.Instant("linux", "tcs-pmu-sweep", 0, 0, at)
+	t.sink.C("linux.tcs.pmu_reads").Add(int64(len(t.pmus)))
+	t.sink.Instant("linux", "tcs-pmu-sweep", 0, 0, at)
 	for _, p := range t.pmus {
 		s.MemReads += p.MemReads
 		s.MemWrites += p.MemWrites

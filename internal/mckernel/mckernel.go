@@ -51,6 +51,7 @@ type Instance struct {
 	// hold Linux-managed state such as file descriptor tables).
 	Proxies []*Proxy
 
+	sink        *telemetry.Sink // receives the instance's telemetry
 	nextPID     int
 	panicked    bool
 	panicReason string
@@ -72,7 +73,7 @@ var ErrKernelPanic = errors.New("mckernel: kernel panic")
 func (in *Instance) Panic(reason string) error {
 	in.panicked = true
 	in.panicReason = reason
-	telemetry.C("mckernel.panics").Inc()
+	in.sink.C("mckernel.panics").Inc()
 	return fmt.Errorf("%w: %s", ErrKernelPanic, reason)
 }
 
@@ -82,15 +83,26 @@ func (in *Instance) Healthy() bool { return !in.panicked }
 // PanicReason returns the recorded cause of death, "" while healthy.
 func (in *Instance) PanicReason() string { return in.panicReason }
 
-// Boot starts McKernel on an IHK partition of the given host.
+// Boot starts McKernel on an IHK partition of the given host. The instance
+// publishes into the sink of the scope it is booted in.
 func Boot(host *linux.Kernel, part *ihk.Partition, cfg Config) (*Instance, error) {
+	return BootTo(nil, host, part, cfg)
+}
+
+// BootTo is Boot with the instance, its memory manager and its delegators
+// publishing into sink; a nil sink means the sink of the calling scope.
+func BootTo(sink *telemetry.Sink, host *linux.Kernel, part *ihk.Partition, cfg Config) (*Instance, error) {
 	if part == nil || len(part.Cores) == 0 {
 		return nil, ErrNoPartition
 	}
+	if sink == nil {
+		sink = telemetry.Default()
+	}
 	inst := &Instance{
 		Host: host, Part: part, IKC: ihk.DefaultIKC(), Cfg: cfg,
-		LWKMem:    NewMemory(part.Memory),
+		LWKMem:    newMemory(part.Memory, sink),
 		Scheduler: NewScheduler(part.Cores),
+		sink:      sink,
 	}
 	return inst, nil
 }

@@ -33,6 +33,7 @@ type Memory struct {
 	// paging, so a failed allocation is fatal to the job, not reclaimable.
 	AllocHook func(size int64) error
 
+	sink      *telemetry.Sink // receives the allocator counters
 	total     int64
 	allocated int64
 }
@@ -44,12 +45,18 @@ var (
 	ErrSizeMismatch   = errors.New("mckernel: free size does not match allocation")
 )
 
-// NewMemory builds the manager over the partition's regions.
+// NewMemory builds the manager over the partition's regions. It publishes
+// into the sink of the scope it is built in.
 func NewMemory(regions []mem.Region) *Memory {
+	return newMemory(regions, telemetry.Default())
+}
+
+func newMemory(regions []mem.Region, sink *telemetry.Sink) *Memory {
 	m := &Memory{
 		regions:   append([]mem.Region(nil), regions...),
 		freeLists: make(map[int64][]int64),
 		live:      make(map[int64]int64),
+		sink:      sink,
 	}
 	for _, r := range regions {
 		m.total += r.Bytes
@@ -75,19 +82,19 @@ func (m *Memory) Alloc(size int64) (int64, error) {
 	}
 	if m.AllocHook != nil {
 		if err := m.AllocHook(size); err != nil {
-			telemetry.C("mckernel.mem.alloc_failures").Inc()
+			m.sink.C("mckernel.mem.alloc_failures").Inc()
 			return 0, err
 		}
 	}
 	size = mem.Page2M.Align(size)
-	telemetry.C("mckernel.mem.alloc_calls").Inc()
+	m.sink.C("mckernel.mem.alloc_calls").Inc()
 	if list := m.freeLists[size]; len(list) > 0 {
 		base := list[len(list)-1]
 		m.freeLists[size] = list[:len(list)-1]
 		m.allocated += size
 		m.live[base] = size
-		telemetry.C("mckernel.mem.freelist_hits").Inc()
-		telemetry.C("mckernel.mem.alloc_bytes").Add(size)
+		m.sink.C("mckernel.mem.freelist_hits").Inc()
+		m.sink.C("mckernel.mem.alloc_bytes").Add(size)
 		return base, nil
 	}
 	for m.cursor < len(m.regions) {
@@ -97,13 +104,13 @@ func (m *Memory) Alloc(size int64) (int64, error) {
 			m.offset += size
 			m.allocated += size
 			m.live[base] = size
-			telemetry.C("mckernel.mem.alloc_bytes").Add(size)
+			m.sink.C("mckernel.mem.alloc_bytes").Add(size)
 			return base, nil
 		}
 		m.cursor++
 		m.offset = 0
 	}
-	telemetry.C("mckernel.mem.alloc_failures").Inc()
+	m.sink.C("mckernel.mem.alloc_failures").Inc()
 	return 0, fmt.Errorf("%w: want %d bytes, %d allocated of %d", ErrLWKOutOfMemory, size, m.allocated, m.total)
 }
 
@@ -125,7 +132,7 @@ func (m *Memory) Free(base, size int64) error {
 	delete(m.live, base)
 	m.freeLists[size] = append(m.freeLists[size], base)
 	m.allocated -= size
-	telemetry.C("mckernel.mem.free_calls").Inc()
+	m.sink.C("mckernel.mem.free_calls").Inc()
 	return nil
 }
 

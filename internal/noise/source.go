@@ -176,17 +176,22 @@ func (p *Profile) ByName(name string) *Source {
 	return nil
 }
 
-// Timeline generates all interruptions over [0, horizon) grouped per core.
-// Each source draws from an independent derived RNG stream, so disabling one
-// source does not perturb the others' draws — required for the Table 2
-// one-countermeasure-at-a-time methodology to isolate effects.
+// Timeline generates all interruptions over [0, horizon) grouped per core,
+// publishing its counters into the calling goroutine's sink. It resolves
+// that sink and the counter handles on every call; a run that builds many
+// timelines resolves them once with Counters and calls TimelineTo.
 func (p *Profile) Timeline(horizon time.Duration, rng *sim.Rand) *Timeline {
+	return p.TimelineTo(p.Counters(telemetry.Default()), horizon, rng)
+}
+
+// TimelineTo generates all interruptions over [0, horizon) grouped per core,
+// counting events and stolen time into c. Each source draws from an
+// independent derived RNG stream, so disabling one source does not perturb
+// the others' draws — required for the Table 2 one-countermeasure-at-a-time
+// methodology to isolate effects.
+func (p *Profile) TimelineTo(c *Counters, horizon time.Duration, rng *sim.Rand) *Timeline {
 	tl := &Timeline{perCPU: make(map[int][]Interruption)}
-	sub := p.Subsystem
-	if sub == "" {
-		sub = "noise"
-	}
-	for _, s := range p.Sources {
+	for i, s := range p.Sources {
 		srcRng := rng.DeriveNamed(s.Name)
 		events := s.Generate(horizon, srcRng)
 		var stolen time.Duration
@@ -195,8 +200,8 @@ func (p *Profile) Timeline(horizon time.Duration, rng *sim.Rand) *Timeline {
 			stolen += iv.Len
 		}
 		if len(events) > 0 {
-			telemetry.C(sub + ".noise.events." + s.Name).Add(int64(len(events)))
-			telemetry.C(sub + ".noise.stolen_ns").Add(int64(stolen))
+			c.events(i, s.Name).Add(int64(len(events)))
+			c.stolenNS().Add(int64(stolen))
 		}
 	}
 	for cpu := range tl.perCPU {
@@ -209,6 +214,48 @@ func (p *Profile) Timeline(horizon time.Duration, rng *sim.Rand) *Timeline {
 		})
 	}
 	return tl
+}
+
+// Counters are one profile's telemetry handles bound to one sink: the
+// per-source event counters and the stolen-time counter. Each handle is
+// looked up on first use and kept, so a source that never fires creates no
+// metric, and the timelines after the first build no names and do no
+// registry lookups. Use them only with the profile that made them, and
+// from one goroutine at a time.
+type Counters struct {
+	sink   *telemetry.Sink
+	prefix string               // "<subsystem>.noise."
+	byIdx  []*telemetry.Counter // event counters by source index
+	stolen *telemetry.Counter
+}
+
+// Counters binds the profile's counters to sink. The metric names carry the
+// profile's Subsystem ("linux", "mckernel"), or "noise" when it is empty.
+func (p *Profile) Counters(sink *telemetry.Sink) *Counters {
+	sub := p.Subsystem
+	if sub == "" {
+		sub = "noise"
+	}
+	return &Counters{sink: sink, prefix: sub + ".noise.", byIdx: make([]*telemetry.Counter, len(p.Sources))}
+}
+
+// events returns the event counter of the profile's i-th source.
+func (c *Counters) events(i int, name string) *telemetry.Counter {
+	for i >= len(c.byIdx) {
+		c.byIdx = append(c.byIdx, nil)
+	}
+	if c.byIdx[i] == nil {
+		c.byIdx[i] = c.sink.C(c.prefix + "events." + name)
+	}
+	return c.byIdx[i]
+}
+
+// stolenNS returns the stolen-time counter.
+func (c *Counters) stolenNS() *telemetry.Counter {
+	if c.stolen == nil {
+		c.stolen = c.sink.C(c.prefix + "stolen_ns")
+	}
+	return c.stolen
 }
 
 // Timeline holds per-core interruption streams and answers "how long does a

@@ -172,8 +172,9 @@ type Shard struct {
 	Nodes Range
 	// Engine is the shard's private event loop.
 	Engine *sim.Engine
-	// Sink is the shard's goroutine-local telemetry sink; package-level
-	// telemetry helpers called from model code on this goroutine land here.
+	// Sink is the shard's telemetry sink. Models publish into it directly;
+	// it is also installed as the shard goroutine's default, so operations
+	// that resolve their sink through telemetry.Default land here too.
 	Sink *telemetry.Sink
 
 	run    *runner

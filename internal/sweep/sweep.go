@@ -72,8 +72,9 @@ type T struct {
 	// and the trial key. Trials whose spec pins explicit seeds may ignore it.
 	Seed int64
 	// Sink is the trial's isolated telemetry sink. It is already installed
-	// as the goroutine-local default, so instrumented subsystems need no
-	// plumbing; it is exposed for trials that want direct access.
+	// as the goroutine-local default, so the public operations a trial
+	// calls resolve it once through telemetry.Default and carry it from
+	// there; it is exposed for trials that want direct access.
 	Sink *telemetry.Sink
 
 	// canceled is raised by the orchestrator when the trial must stop: its

@@ -26,9 +26,15 @@ import (
 	"mkos/internal/sim"
 )
 
-// Sink bundles the three telemetry surfaces. Components reach the process
-// default through the package-level helpers; experiments that need isolation
-// (tests, repeated in-process runs) swap it with SetDefault or Reset.
+// Sink bundles the three telemetry surfaces. Model code holds the sink of
+// the operation it serves and publishes through its methods (C, G, H, Span,
+// Instant, TraceEnabled); entry points resolve that sink once with Default
+// and pass it down. Experiments that need isolation swap the process-wide
+// sink with SetDefault or Reset, or scope one to a goroutine with RunWith.
+//
+// A nil *Sink publishes into Default(), so a zero-valued model object still
+// reaches the sink of the scope it runs in; the lookup that costs is then
+// paid per call, which is what holding a resolved sink avoids.
 type Sink struct {
 	reg  *Registry
 	rec  *Recorder
@@ -50,8 +56,39 @@ func (s *Sink) Recorder() *Recorder { return s.rec }
 // Profiler returns the sink's engine profiler.
 func (s *Sink) Profiler() *Profiler { return s.prof }
 
+// or resolves a nil sink to the calling goroutine's.
+func (s *Sink) or() *Sink {
+	if s == nil {
+		return Default()
+	}
+	return s
+}
+
+// C returns the named counter from the sink's registry.
+func (s *Sink) C(name string) *Counter { return s.or().reg.Counter(name) }
+
+// G returns the named gauge from the sink's registry.
+func (s *Sink) G(name string) *Gauge { return s.or().reg.Gauge(name) }
+
+// H returns the named histogram from the sink's registry.
+func (s *Sink) H(name string, bounds []float64) *Histogram { return s.or().reg.Histogram(name, bounds) }
+
+// Span records a complete span on the sink's recorder.
+func (s *Sink) Span(cat, name string, node, cpu int, start sim.Time, dur sim.Duration, args ...Arg) {
+	s.or().rec.Span(cat, name, node, cpu, start, dur, args...)
+}
+
+// Instant records a point event on the sink's recorder.
+func (s *Sink) Instant(cat, name string, node, cpu int, at sim.Time, args ...Arg) {
+	s.or().rec.Instant(cat, name, node, cpu, at, args...)
+}
+
+// TraceEnabled reports whether the sink's recorder is capturing; hot paths
+// use it to skip building span arguments entirely.
+func (s *Sink) TraceEnabled() bool { return s.or().rec.Enabled() }
+
 // AttachEngine wires the sink's profiler into an engine's dispatch loop.
-func (s *Sink) AttachEngine(e *sim.Engine) { s.prof.Attach(e) }
+func (s *Sink) AttachEngine(e *sim.Engine) { s.or().prof.Attach(e) }
 
 var (
 	defaultMu sync.RWMutex
@@ -67,6 +104,8 @@ var (
 
 // Default returns the sink for the calling goroutine: the one installed by a
 // surrounding RunWith if there is one, the process-wide sink otherwise.
+// Inside a RunWith it pays the goroutine lookup (see gid), so callers
+// resolve it once per operation and hold the result.
 func Default() *Sink {
 	if activeLocals.Load() != 0 {
 		id := gid()
@@ -82,13 +121,13 @@ func Default() *Sink {
 	return std
 }
 
-// RunWith runs fn with s installed as the calling goroutine's sink: every
-// package-level helper (C, G, H, Span, Instant, TraceEnabled, AttachEngine)
-// reached from fn on this goroutine publishes into s instead of the
-// process-wide sink. This is what lets a parallel sweep give each simulation
-// trial an isolated registry and recorder — the instrumented subsystems keep
-// their zero-plumbing call sites, and per-trial telemetry can be merged in a
-// deterministic order afterwards.
+// RunWith runs fn with s installed as the calling goroutine's sink: Default
+// called from fn on this goroutine returns s instead of the process-wide
+// sink. This is what lets a parallel sweep give each simulation trial an
+// isolated registry and recorder: the public operations a trial calls
+// resolve their sink once through Default and carry it explicitly from
+// there, and per-trial telemetry is merged in a deterministic order
+// afterwards.
 //
 // The override covers only the calling goroutine; goroutines spawned from fn
 // see the process-wide sink (the simulator itself never spawns any — each
@@ -133,28 +172,31 @@ func SetDefault(s *Sink) *Sink {
 // repeated in-process experiment runs use it to start from zero.
 func Reset() *Sink { return SetDefault(NewSink()) }
 
+// The package-level helpers publish into Default(). Each call pays the
+// goroutine lookup, so they belong to entry points, commands and tests;
+// model code publishes through the *Sink it holds.
+
 // C returns the named counter from the default sink.
-func C(name string) *Counter { return Default().reg.Counter(name) }
+func C(name string) *Counter { return Default().C(name) }
 
 // G returns the named gauge from the default sink.
-func G(name string) *Gauge { return Default().reg.Gauge(name) }
+func G(name string) *Gauge { return Default().G(name) }
 
 // H returns the named histogram from the default sink.
-func H(name string, bounds []float64) *Histogram { return Default().reg.Histogram(name, bounds) }
+func H(name string, bounds []float64) *Histogram { return Default().H(name, bounds) }
 
 // Span records a complete span on the default sink's recorder.
 func Span(cat, name string, node, cpu int, start sim.Time, dur sim.Duration, args ...Arg) {
-	Default().rec.Span(cat, name, node, cpu, start, dur, args...)
+	Default().Span(cat, name, node, cpu, start, dur, args...)
 }
 
 // Instant records a point event on the default sink's recorder.
 func Instant(cat, name string, node, cpu int, at sim.Time, args ...Arg) {
-	Default().rec.Instant(cat, name, node, cpu, at, args...)
+	Default().Instant(cat, name, node, cpu, at, args...)
 }
 
-// TraceEnabled reports whether the default recorder is capturing; hot paths
-// can use it to skip building span arguments entirely.
-func TraceEnabled() bool { return Default().rec.Enabled() }
+// TraceEnabled reports whether the default recorder is capturing.
+func TraceEnabled() bool { return Default().TraceEnabled() }
 
 // AttachEngine wires the default profiler into an engine.
 func AttachEngine(e *sim.Engine) { Default().AttachEngine(e) }
