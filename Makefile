@@ -2,7 +2,7 @@ GO ?= go
 J ?= 0
 SWEEP_SPEC ?= specs/ci-sweep.json
 
-.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard
+.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism results results-check sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard
 
 all: check
 
@@ -58,8 +58,8 @@ sweep-race:
 
 # sweep-determinism asserts the subsystem's contract end to end: a parallel
 # cached run, a serial uncached run and a warm-cache re-run must produce
-# byte-identical results.json and metrics.txt, and the warm re-run must
-# execute zero trials.
+# byte-identical results.json, metrics.txt and report.txt, and the warm
+# re-run must execute zero trials.
 sweep-determinism:
 	rm -rf /tmp/mkos-sweep-cache /tmp/mkos-sweep-j8 /tmp/mkos-sweep-j1 /tmp/mkos-sweep-warm
 	$(GO) run ./cmd/sweep -spec $(SWEEP_SPEC) -j 8 -cache-dir /tmp/mkos-sweep-cache -outdir /tmp/mkos-sweep-j8
@@ -69,8 +69,10 @@ sweep-determinism:
 	grep -q ": 0 executed," /tmp/mkos-sweep-warm-summary.txt
 	cmp /tmp/mkos-sweep-j8/results.json /tmp/mkos-sweep-j1/results.json
 	cmp /tmp/mkos-sweep-j8/metrics.txt /tmp/mkos-sweep-j1/metrics.txt
+	cmp /tmp/mkos-sweep-j8/report.txt /tmp/mkos-sweep-j1/report.txt
 	cmp /tmp/mkos-sweep-j8/results.json /tmp/mkos-sweep-warm/results.json
 	cmp /tmp/mkos-sweep-j8/metrics.txt /tmp/mkos-sweep-warm/metrics.txt
+	cmp /tmp/mkos-sweep-j8/report.txt /tmp/mkos-sweep-warm/report.txt
 	@echo "sweep artifacts byte-identical at -j 8, -j 1 and from warm cache (0 trials executed)"
 
 # sweep-interrupt asserts the crash-safe resume contract end to end: SIGINT a
@@ -139,19 +141,28 @@ bench-engine:
 bench-shard:
 	sh scripts/bench-shard.sh
 
-# determinism runs the fault-injection sweep twice with telemetry artifacts
-# enabled and fails on any byte difference — the metrics dump and trace JSON
-# must be identical for identical seeds.
+# determinism runs the fault-injection smoke spec twice with the sim-time
+# trace enabled and fails on any byte difference — the metrics dump and
+# trace JSON must be identical for identical seeds.
 determinism:
-	$(GO) run ./cmd/faultexp -jobs 2 -nodes 4 -report=false \
-		-trace /tmp/mkos-det-1.json -metrics /tmp/mkos-det-1.txt > /dev/null
-	$(GO) run ./cmd/faultexp -jobs 2 -nodes 4 -report=false \
-		-trace /tmp/mkos-det-2.json -metrics /tmp/mkos-det-2.txt > /dev/null
-	cmp /tmp/mkos-det-1.json /tmp/mkos-det-2.json
-	cmp /tmp/mkos-det-1.txt /tmp/mkos-det-2.txt
+	rm -rf /tmp/mkos-det-1 /tmp/mkos-det-2
+	$(GO) run ./cmd/sweep -spec specs/fault-smoke.json -j 1 -trace -outdir /tmp/mkos-det-1 > /dev/null
+	$(GO) run ./cmd/sweep -spec specs/fault-smoke.json -j 1 -trace -outdir /tmp/mkos-det-2 > /dev/null
+	cmp /tmp/mkos-det-1/trace.json /tmp/mkos-det-2/trace.json
+	cmp /tmp/mkos-det-1/metrics.txt /tmp/mkos-det-2/metrics.txt
 	@echo "telemetry artifacts byte-identical across runs"
+
+# results regenerates the committed paper artifacts: each specs/<name>.json
+# runs through cmd/sweep and its report.txt is copied to results/<name>.txt.
+results:
+	sh scripts/results.sh write /tmp/mkos-results
+
+# results-check is the results gate: the same runs, compared byte for byte
+# with the committed results/*.txt instead of copied over them.
+results-check:
+	sh scripts/results.sh check /tmp/mkos-results-check
 
 # check is what CI runs: formatting, vet, the simlint invariant gate,
 # build, the full suite under the race detector, the determinism gates,
 # and the daemon chaos/load gates.
-check: fmt vet lint build race determinism sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism
+check: fmt vet lint build race determinism results-check sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism

@@ -10,8 +10,8 @@
 //
 // The experiment sizes here are reduced from the paper's (hundreds of nodes
 // rather than thousands, tens of seconds of FWQ rather than minutes) so the
-// full suite completes in minutes; cmd/tablegen, cmd/noiseprofile and
-// cmd/mkexp regenerate the full-scale versions.
+// full suite completes in minutes; cmd/sweep with the specs/ files
+// regenerates the full-scale versions (make results).
 package mkos
 
 import (

@@ -1,7 +1,10 @@
 // Command repro regenerates the paper's entire evaluation in one run —
 // Table 2, Figure 3 series, Figure 4 CDFs, and the Figure 5/6/7 application
 // sweeps — writing data files under -outdir and printing a paper-vs-measured
-// summary at the end.
+// summary at the end. The data files use the campaigns renderers, so a
+// full-scale run writes table2.txt, figure3_baseline.txt,
+// figure3_daemons.txt, figure4.txt and figure5/6/7.txt byte-identical to
+// results/.
 //
 // Usage:
 //
@@ -10,10 +13,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -26,7 +31,6 @@ import (
 	"mkos/internal/fault"
 	"mkos/internal/kernel"
 	"mkos/internal/mckernel"
-	"mkos/internal/noise"
 	"mkos/internal/sim"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
@@ -38,7 +42,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("repro: ")
 	quick := flag.Bool("quick", false, "reduced scales for a fast smoke run")
-	outdir := flag.String("outdir", "results", "directory for generated data files")
+	outdir := flag.String("outdir", "repro-out", "directory for generated data files")
 	workers := flag.Int("j", 0, "parallel trial workers (0 = all cores)")
 	cacheDir := flag.String("cache-dir", "", "reuse cached trial results from this directory")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
@@ -87,6 +91,18 @@ func main() {
 		return o
 	}
 
+	// render writes one data file through its family's campaigns renderer,
+	// so each table and figure has the one format of results/*.txt.
+	render := func(name string, fill func(w io.Writer) error) {
+		var b bytes.Buffer
+		if err := fill(&b); err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(*outdir, name), b.Bytes(), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	// --- Table 2 ---
 	t2cfg := core.DefaultTable2Config()
 	if *quick {
@@ -94,35 +110,21 @@ func main() {
 	}
 	fmt.Printf("[1/6] Table 2 (%d nodes, %v FWQ)...\n", t2cfg.Nodes, t2cfg.Duration)
 	t2out := runCampaign(campaigns.Table2(t2cfg, t2cfg.Seed))
-	variants := core.Table2Variants()
-	rows := make([]core.Table2Row, len(variants))
-	for i, disabled := range variants {
-		if err := t2out.Payload(campaigns.Table2Key(i, disabled), &rows[i]); err != nil {
-			log.Fatal(err)
-		}
-	}
-	writeFile(*outdir, "table2.txt", func(f *os.File) {
-		fmt.Fprintf(f, "%-32s %18s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate")
-		for _, r := range rows {
-			fmt.Fprintf(f, "%-32s %18.2f %12.3g\n", r.Disabled,
-				float64(r.MaxNoise)/float64(time.Microsecond), r.NoiseRate)
-		}
-	})
+	render("table2.txt", func(w io.Writer) error { return campaigns.WriteTable2(w, t2out, t2cfg) })
 
-	// --- Figure 3 (series data is embedded in the Table 2 rows) ---
+	// --- Figure 3 ---
+	f3 := &campaigns.Spec{Name: "figure3", Figure3: &campaigns.Figure3Section{}}
+	if *quick {
+		f3.Figure3.DurationSeconds = 60
+	}
 	fmt.Printf("[2/6] Figure 3 noise series...\n")
-	writeFile(*outdir, "figure3.txt", func(f *os.File) {
-		for _, r := range rows {
-			s := noise.SeriesMicros(r.Lengths)
-			fmt.Fprintf(f, "# countermeasure disabled: %s (max %.1f us)\n", r.Disabled, s.MaxV())
-			// Thin the series for the file: every 64th sample plus peaks.
-			for i := 0; i < s.Len(); i++ {
-				if i%64 == 0 || s.V[i] > 100 {
-					fmt.Fprintf(f, "%d %.3f\n", int(s.T[i]), s.V[i])
-				}
-			}
-		}
-	})
+	f3campaign, err := f3.Campaign()
+	if err != nil {
+		log.Fatal(err)
+	}
+	f3out := runCampaign(f3campaign)
+	render("figure3_baseline.txt", func(w io.Writer) error { return campaigns.WriteFigure3(w, f3out, "none") })
+	render("figure3_daemons.txt", func(w io.Writer) error { return campaigns.WriteFigure3(w, f3out, "daemons") })
 
 	// --- Figure 4 ---
 	f4cfg := core.DefaultFigure4Config()
@@ -133,18 +135,7 @@ func main() {
 	fmt.Printf("[3/6] Figure 4 CDFs (%d/%d/%d nodes)...\n",
 		f4cfg.OFPNodes, f4cfg.FugakuFullNodes, f4cfg.Fugaku24Racks)
 	f4out := runCampaign(campaigns.Figure4(f4cfg, 1, f4cfg.Seed))
-	curves, err := campaigns.MergeFigure4(f4out, f4cfg, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeFile(*outdir, "figure4.txt", func(f *os.File) {
-		for _, c := range curves {
-			fmt.Fprintf(f, "# %s (%d nodes), tail %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
-			for _, pt := range c.CDF.Points(40) {
-				fmt.Fprintf(f, "%.2f %.8f\n", pt.X, pt.Y)
-			}
-		}
-	})
+	render("figure4.txt", func(w io.Writer) error { return campaigns.WriteFigure4(w, f4out, f4cfg, 1) })
 
 	// --- Figures 5, 6, 7 ---
 	seeds := []int64{1, 2, 3}
@@ -152,37 +143,43 @@ func main() {
 		seeds = []int64{1}
 	}
 	fmt.Printf("[4/6] application figures...\n")
-	specs := append(append(core.Figure5Specs(), core.Figure6Specs()...), core.Figure7Specs()...)
-	if *quick {
-		for i := range specs {
-			specs[i].Nodes = specs[i].Nodes[len(specs[i].Nodes)-1:] // top of sweep only
+	figs := [][]core.FigureSpec{core.Figure5Specs(), core.Figure6Specs(), core.Figure7Specs()}
+	var specs []core.FigureSpec
+	for _, fig := range figs {
+		if *quick {
+			for i := range fig {
+				fig[i].Nodes = fig[i].Nodes[len(fig[i].Nodes)-1:] // top of sweep only
+			}
 		}
+		specs = append(specs, fig...)
 	}
 	figCampaign, err := campaigns.FigurePoints("repro-figs", specs, seeds, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	figOut := runCampaign(figCampaign)
+	for i, fig := range figs {
+		render(fmt.Sprintf("figure%d.txt", 5+i), func(w io.Writer) error {
+			campaigns.WriteFigures(w, figOut, fig)
+			return nil
+		})
+	}
+	// top holds each panel's largest node count that the app can run.
 	type key struct{ fig, app string }
 	top := map[key]core.Comparison{}
-	writeFile(*outdir, "figures567.txt", func(f *os.File) {
-		for _, spec := range specs {
-			app := mustApp(spec.App, spec.Platform)
-			fmt.Fprintf(f, "# figure %s: %s on %s\n", spec.Figure, spec.App, spec.Platform)
-			for _, n := range spec.Nodes {
-				if n > app.MaxNodes {
-					continue
-				}
-				var c core.Comparison
-				k := campaigns.FigurePointKey(spec.Figure, string(spec.Platform), spec.App, n)
-				if err := figOut.Payload(k, &c); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(f, "%d %.4f %.4f\n", c.Nodes, c.Relative, c.RelErr)
-				top[key{spec.Figure, spec.App + "/" + string(spec.Platform)}] = c
+	for _, spec := range specs {
+		app := mustApp(spec.App, spec.Platform)
+		for _, n := range spec.Nodes {
+			if n > app.MaxNodes {
+				continue
 			}
+			var c core.Comparison
+			if err := figOut.Payload(campaigns.FigurePointKey(spec.Figure, string(spec.Platform), spec.App, n), &c); err != nil {
+				log.Fatal(err)
+			}
+			top[key{spec.Figure, spec.App + "/" + string(spec.Platform)}] = c
 		}
-	})
+	}
 
 	// --- Operational stage: engine-driven fault recovery + syscall offload ---
 	// The figure stages above are closed-form; this stage drives the

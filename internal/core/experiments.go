@@ -166,22 +166,31 @@ func DefaultTable2Config() Table2Config {
 	return Table2Config{Nodes: 16, Duration: 6 * time.Minute, Seed: 11}
 }
 
-// table2Variant pairs a countermeasure's table label with the tuning switch
-// that disables it.
+// Table2Paper holds one row's published Table 2 values, printed beside the
+// measured ones.
+type Table2Paper struct {
+	MaxNoiseUS float64
+	NoiseRate  float64
+}
+
+// table2Variant pairs a countermeasure's table label with its short name
+// (the spelling specs use for the Figure 3 series and the attribution
+// report), its published values, and the tuning switch that disables it.
 type table2Variant struct {
-	name   string
-	mutate func(*cluster.Platform)
+	name, short string
+	paper       Table2Paper
+	mutate      func(*cluster.Platform)
 }
 
 // table2Variants lists the experiment's rows in paper order: the all-enabled
 // baseline first, then one disabled countermeasure per row.
 var table2Variants = []table2Variant{
-	{"None", func(*cluster.Platform) {}},
-	{"Daemon process", func(p *cluster.Platform) { p.Tuning.Counter.BindDaemons = false }},
-	{"Unbound kworker tasks", func(p *cluster.Platform) { p.Tuning.Counter.BindKworkers = false }},
-	{"blk-mq worker tasks", func(p *cluster.Platform) { p.Tuning.Counter.BindBlkMQ = false }},
-	{"PMU counter reads", func(p *cluster.Platform) { p.Tuning.Counter.StopPMUReads = false }},
-	{"CPU-global flush instruction", func(p *cluster.Platform) { p.Tuning.Counter.SuppressGlobalTLBI = false }},
+	{"None", "none", Table2Paper{50.44, 3.79e-6}, func(*cluster.Platform) {}},
+	{"Daemon process", "daemons", Table2Paper{20346.98, 9.94e-4}, func(p *cluster.Platform) { p.Tuning.Counter.BindDaemons = false }},
+	{"Unbound kworker tasks", "kworkers", Table2Paper{266.34, 4.58e-6}, func(p *cluster.Platform) { p.Tuning.Counter.BindKworkers = false }},
+	{"blk-mq worker tasks", "blkmq", Table2Paper{387.91, 4.58e-6}, func(p *cluster.Platform) { p.Tuning.Counter.BindBlkMQ = false }},
+	{"PMU counter reads", "pmu", Table2Paper{103.09, 8.27e-6}, func(p *cluster.Platform) { p.Tuning.Counter.StopPMUReads = false }},
+	{"CPU-global flush instruction", "tlbi", Table2Paper{90.2, 3.87e-6}, func(p *cluster.Platform) { p.Tuning.Counter.SuppressGlobalTLBI = false }},
 }
 
 // Table2Variants returns the countermeasure labels in table order. Each is a
@@ -193,6 +202,40 @@ func Table2Variants() []string {
 		out[i] = v.name
 	}
 	return out
+}
+
+// Countermeasures returns the short countermeasure names in table order:
+// none, daemons, kworkers, blkmq, pmu, tlbi.
+func Countermeasures() []string {
+	out := make([]string, len(table2Variants))
+	for i, v := range table2Variants {
+		out[i] = v.short
+	}
+	return out
+}
+
+// PaperTable2 returns the published values of the row labelled disabled
+// (zero for an unknown label).
+func PaperTable2(disabled string) Table2Paper {
+	for _, v := range table2Variants {
+		if v.name == disabled {
+			return v.paper
+		}
+	}
+	return Table2Paper{}
+}
+
+// CountermeasurePlatform returns a Fugaku platform with the countermeasure
+// named by its short name disabled ("none" keeps all of them on).
+func CountermeasurePlatform(short string) (*cluster.Platform, error) {
+	for _, v := range table2Variants {
+		if v.short == short {
+			p := cluster.Fugaku()
+			v.mutate(p)
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown countermeasure %q (want none|daemons|kworkers|blkmq|pmu|tlbi)", short)
 }
 
 // Table2Variant reruns the FWQ experiment with one countermeasure disabled

@@ -37,7 +37,8 @@ func probeConfig(t *testing.T, tune Tuning, nodes int, dur time.Duration) noise.
 // shape of Table 2: which countermeasure matters how much, with magnitudes
 // in the right decade. The run is shorter than the paper's (2 minutes on 8
 // nodes instead of ~6 minutes on 16) to keep the suite fast; bounds are set
-// accordingly. cmd/tablegen regenerates the full-scale table.
+// accordingly. cmd/sweep -spec specs/table2.json regenerates the full-scale
+// table.
 func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node FWQ simulation")

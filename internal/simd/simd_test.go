@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -711,15 +713,44 @@ func TestBadSpecRejected(t *testing.T) {
 	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build})
 	defer d.stop()
 	c := d.client("bad")
-	start := time.Now()
-	_, err := c.Submit(testCtx(t), []byte(`{"name": 42}`))
-	if err == nil || !strings.Contains(err.Error(), simd.ReasonBadSpec) {
-		t.Fatalf("bad spec: %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("client retried a non-retryable rejection")
+	for _, body := range []string{
+		`{"name": 42}`,
+		// A misspelled section must not silently drop its trials.
+		`{"name": "x", "figure4": {"ofp_nodes": 2}, "fualt": {"jobs": 1}}`,
+	} {
+		start := time.Now()
+		_, err := c.Submit(testCtx(t), []byte(body))
+		if err == nil || !strings.Contains(err.Error(), simd.ReasonBadSpec) {
+			t.Fatalf("bad spec %s: %v", body, err)
+		}
+		if time.Since(start) > time.Second {
+			t.Fatalf("client retried a non-retryable rejection of %s", body)
+		}
 	}
 	if ids := d.srv.CampaignIDs(); len(ids) != 0 {
 		t.Fatalf("bad spec left campaigns behind: %v", ids)
+	}
+}
+
+// TestCommittedSpecIDsStable pins the content-hash identity of the committed
+// specs: a Spec field that changes canonical JSON for existing specs would
+// orphan every stored campaign.
+func TestCommittedSpecIDsStable(t *testing.T) {
+	for name, want := range map[string]string{
+		"ci-sweep":       "160aabfa7669a3d0",
+		"simd-smoke":     "be6569a5affe5f40",
+		"simd-supervise": "9106ae8dc7afa253",
+	} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", "specs", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := simd.SpecID(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != want {
+			t.Errorf("SpecID(specs/%s.json) = %s, want %s", name, id, want)
+		}
 	}
 }

@@ -1,20 +1,23 @@
 // Package campaigns builds sweep.Campaign values for the repository's
 // experiment families — the Figure 5-7 application sweeps, the Table 2
-// countermeasure matrix, the Figure 4 noise CDFs and the fault-injection
-// degradation curves — so cmd/repro, cmd/mkexp, cmd/faultexp,
-// cmd/noiseprofile and cmd/sweep all shard the same trial enumerations over
-// the same orchestrator instead of carrying private serial loops.
+// countermeasure matrix, the Figure 3 noise series, the interference
+// attribution, the Figure 4 noise CDFs and the fault-injection degradation
+// curves — and renders their outcomes, one renderer per family, in the
+// formats of the committed results/*.txt files. cmd/repro and cmd/sweep (via
+// the declarative Spec) both shard these trial enumerations over the same
+// orchestrator and print them through the same renderers.
 //
 // Every builder follows the same rules: trial keys are canonical and
 // zero-padded so key order equals presentation order, specs carry the full
 // parameter set (they are the cache identity), and payloads are plain
-// JSON-round-trippable structs from core/fault so cached and freshly
+// JSON-round-trippable values from core/fault/linux so cached and freshly
 // executed trials are indistinguishable to the merge step.
 package campaigns
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,6 +26,7 @@ import (
 	"mkos/internal/cluster"
 	"mkos/internal/core"
 	"mkos/internal/fault"
+	"mkos/internal/linux"
 	"mkos/internal/noise"
 	"mkos/internal/sim"
 	"mkos/internal/sweep"
@@ -130,6 +134,84 @@ func Table2(cfg core.Table2Config, campaignSeed int64) *sweep.Campaign {
 		})
 	}
 	return c
+}
+
+// --- Figure 3 and attribution: single-node noise under a countermeasure ---
+
+// CountermeasureSpec parameterizes one single-node noise trial on Fugaku
+// Linux with the countermeasure named by its short name disabled.
+type CountermeasureSpec struct {
+	Countermeasure string        `json:"countermeasure"`
+	Duration       time.Duration `json:"duration"`
+	Seed           int64         `json:"seed"`
+}
+
+// countermeasureKey prefixes the short name with its table index, so key
+// order equals Table 2 row order whatever order a spec lists them in.
+func countermeasureKey(family, cm string) string {
+	return fmt.Sprintf("%s/%02d-%s", family, slices.Index(core.Countermeasures(), cm), cm)
+}
+
+// Figure3Key returns the canonical key of the Figure 3 series for cm.
+func Figure3Key(cm string) string { return countermeasureKey("figure3", cm) }
+
+// AttributionKey returns the canonical key of the attribution report for cm.
+func AttributionKey(cm string) string { return countermeasureKey("attribution", cm) }
+
+// Figure3 enumerates one noise-length series trial per countermeasure: FWQ
+// with 6.5 ms quanta on the first application core of one node. The payload
+// is the series of noise lengths ([]time.Duration).
+func Figure3(countermeasures []string, dur time.Duration, seed, campaignSeed int64) *sweep.Campaign {
+	c := &sweep.Campaign{Name: "figure3", Seed: campaignSeed}
+	for _, cm := range countermeasures {
+		cs := CountermeasureSpec{Countermeasure: cm, Duration: dur, Seed: seed}
+		c.Trials = append(c.Trials, sweep.Trial{
+			Key:  Figure3Key(cm),
+			Spec: cs,
+			Run:  func(*sweep.T) (any, error) { return runFigure3(cs) },
+		})
+	}
+	return c
+}
+
+func runFigure3(cs CountermeasureSpec) ([]time.Duration, error) {
+	p, err := core.CountermeasurePlatform(cs.Countermeasure)
+	if err != nil {
+		return nil, err
+	}
+	node, err := p.NewNode(cluster.Linux)
+	if err != nil {
+		return nil, err
+	}
+	cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: cs.Duration, Cores: node.AppCores()[:1]}
+	analyses, _, err := apps.FWQAcrossNodes(cfg, node.Host, 1, cs.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return analyses[0].Lengths, nil
+}
+
+// Attribution enumerates the one-trial attribution family: the per-source
+// stolen time on application cores ([]linux.Attribution).
+func Attribution(cm string, dur time.Duration, seed, campaignSeed int64) *sweep.Campaign {
+	cs := CountermeasureSpec{Countermeasure: cm, Duration: dur, Seed: seed}
+	return &sweep.Campaign{Name: "attribution", Seed: campaignSeed, Trials: []sweep.Trial{{
+		Key:  AttributionKey(cm),
+		Spec: cs,
+		Run:  func(*sweep.T) (any, error) { return runAttribution(cs) },
+	}}}
+}
+
+func runAttribution(cs CountermeasureSpec) ([]linux.Attribution, error) {
+	p, err := core.CountermeasurePlatform(cs.Countermeasure)
+	if err != nil {
+		return nil, err
+	}
+	node, err := p.NewNode(cluster.Linux)
+	if err != nil {
+		return nil, err
+	}
+	return node.Host.AttributeProfile(cs.Duration, cs.Seed), nil
 }
 
 // --- Figure 4: noise CDF curves --------------------------------------------

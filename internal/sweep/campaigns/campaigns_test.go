@@ -3,12 +3,15 @@ package campaigns_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
 	"mkos/internal/apps"
+	"mkos/internal/cluster"
 	"mkos/internal/core"
 	"mkos/internal/fault"
+	"mkos/internal/linux"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
 )
@@ -72,31 +75,60 @@ func TestFigure4CampaignMatchesSerial(t *testing.T) {
 }
 
 // TestRealCampaignDeterministicAcrossWorkers runs real simulation trials
-// (Figure 4 iterations and a fault sweep) at -j 1 and -j 8 and requires
-// byte-identical merged results and telemetry.
+// (Figure 4 iterations, a fault sweep, Figure 3 series and the attribution
+// report) from one spec at -j 1, at -j 4 and from a warm cache, and requires
+// byte-identical merged results, telemetry and composed report.
 func TestRealCampaignDeterministicAcrossWorkers(t *testing.T) {
-	build := func() *sweep.Campaign {
-		c := campaigns.Figure4(smallFigure4(), 2, 7)
-		rates := fault.Rates{
-			NodeCrashPerHour: 500, LWKPanicPerHour: 2000, LWKHangPerHour: 1000,
-			IHKReserveFailProb: 0.05, IKCTimeoutProb: 0.05, LWKOOMProb: 0.05,
-		}
-		var specs []campaigns.FaultPointSpec
-		for _, os := range []string{"linux", "mckernel"} {
-			specs = append(specs, campaigns.FaultPointSpec{
-				Platform: "fugaku", OS: os, Intensity: 1, Rates: rates,
-				Jobs: 2, Nodes: 4, Seed: 42,
-			})
-		}
-		fc := campaigns.FaultSweep("fault", specs, 7)
-		c.Name = "mixed"
-		c.Trials = append(c.Trials, fc.Trials...)
-		return c
+	spec, err := campaigns.ParseSpec([]byte(`{
+		"name": "mixed", "seed": 7,
+		"figure4": {"ofp_nodes": 6, "fugaku_full_nodes": 8, "fugaku_24racks": 4,
+			"duration_seconds": 3, "worst_nodes": 4, "seed": 20211114, "iterations": 2},
+		"fault": {"platform": "fugaku", "intensities": [1], "jobs": 2, "nodes": 4, "seed": 42},
+		"figure3": {"countermeasures": ["daemons", "none"], "duration_seconds": 2},
+		"attribution": {"countermeasure": "pmu", "duration_seconds": 1}
+	}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a1, _ := runArtifacts(t, build(), 1)
-	a8, _ := runArtifacts(t, build(), 8)
-	if !bytes.Equal(a1, a8) {
-		t.Fatalf("-j 8 real-simulation artifacts differ from -j 1 (len %d vs %d)", len(a1), len(a8))
+	cacheDir := t.TempDir()
+	run := func(workers int, cache string) ([]byte, *sweep.Outcome) {
+		c, err := spec.Campaign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := sweep.Run(c, sweep.Options{Workers: workers, CacheDir: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(o.Results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := bytes.NewBuffer(blob)
+		if _, err := o.Registry.WriteTo(buf); err != nil {
+			t.Fatal(err)
+		}
+		report, err := spec.Report(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(report)
+		return buf.Bytes(), o
+	}
+	a1, _ := run(1, "")
+	a4, _ := run(4, cacheDir)
+	warm, o := run(4, cacheDir)
+	if !bytes.Equal(a1, a4) {
+		t.Fatalf("-j 4 real-simulation artifacts differ from -j 1 (len %d vs %d)", len(a1), len(a4))
+	}
+	if !bytes.Equal(a1, warm) {
+		t.Fatalf("warm-cache artifacts differ from -j 1 (len %d vs %d)", len(warm), len(a1))
+	}
+	if o.Executed != 0 {
+		t.Fatalf("warm-cache run executed %d trials, want 0", o.Executed)
 	}
 }
 
@@ -160,5 +192,92 @@ func TestFaultPointMatchesSerialReport(t *testing.T) {
 	}
 	if got.Report.Jobs != spec.Jobs {
 		t.Fatalf("report jobs = %d, want %d", got.Report.Jobs, spec.Jobs)
+	}
+}
+
+// TestFigure3CampaignMatchesSerial: each Figure 3 trial must equal a direct
+// single-core, single-node FWQ run with the countermeasure's tuning switch
+// turned off by hand.
+func TestFigure3CampaignMatchesSerial(t *testing.T) {
+	const dur, seed = 3 * time.Second, 20211114
+	_, o := runArtifacts(t, campaigns.Figure3([]string{"none", "daemons"}, dur, seed, 1), 2)
+	for cm, mutate := range map[string]func(*cluster.Platform){
+		"none":    func(*cluster.Platform) {},
+		"daemons": func(p *cluster.Platform) { p.Tuning.Counter.BindDaemons = false },
+	} {
+		p := cluster.Fugaku()
+		mutate(p)
+		node, err := p.NewNode(cluster.Linux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: dur, Cores: node.AppCores()[:1]}
+		analyses, _, err := apps.FWQAcrossNodes(cfg, node.Host, 1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []time.Duration
+		if err := o.Payload(campaigns.Figure3Key(cm), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, analyses[0].Lengths) {
+			t.Fatalf("%s: campaign series (%d samples) differs from serial (%d samples)",
+				cm, len(got), len(analyses[0].Lengths))
+		}
+	}
+}
+
+// TestAttributionCampaignMatchesSerial: the attribution trial must equal a
+// direct AttributeProfile call on a node with blk-mq workers unbound.
+func TestAttributionCampaignMatchesSerial(t *testing.T) {
+	const dur, seed = 2 * time.Second, 20211114
+	_, o := runArtifacts(t, campaigns.Attribution("blkmq", dur, seed, 1), 1)
+	p := cluster.Fugaku()
+	p.Tuning.Counter.BindBlkMQ = false
+	node, err := p.NewNode(cluster.Linux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := node.Host.AttributeProfile(dur, seed)
+	var got []linux.Attribution
+	if err := o.Payload(campaigns.AttributionKey("blkmq"), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("campaign attribution %v, serial %v", got, want)
+	}
+}
+
+// TestParseSpecRejectsBadSpecs: misspelled keys, at the top level or inside
+// a section, must fail to parse rather than silently drop trials; unknown or
+// repeated countermeasures must fail to enumerate.
+func TestParseSpecRejectsBadSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec string
+		parseErr   bool
+	}{
+		{"unknown top-level key", `{"name":"x","figure4":{"ofp_nodes":2},"fualt":{"jobs":1}}`, true},
+		{"unknown section field", `{"name":"x","fault":{"jobs":1,"node":4}}`, true},
+		{"trailing data", `{"name":"x","fault":{}} {}`, true},
+		{"unknown countermeasure", `{"name":"x","figure3":{"countermeasures":["none","ipi"]}}`, false},
+		{"repeated countermeasure", `{"name":"x","figure3":{"countermeasures":["pmu","pmu"]}}`, false},
+		{"unknown attribution countermeasure", `{"name":"x","attribution":{"countermeasure":"all"}}`, false},
+	} {
+		spec, err := campaigns.ParseSpec([]byte(tc.spec))
+		if tc.parseErr {
+			if err == nil {
+				t.Errorf("%s: ParseSpec accepted %s", tc.name, tc.spec)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := spec.Campaign(); err == nil {
+			t.Errorf("%s: Campaign accepted %s", tc.name, tc.spec)
+		}
+	}
+	if _, err := campaigns.ParseSpec([]byte(`{"name":"ok","figure3":{},"attribution":{}}`)); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
 	}
 }

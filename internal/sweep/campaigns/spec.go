@@ -1,9 +1,13 @@
 package campaigns
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -88,9 +92,11 @@ type Spec struct {
 	// Apps adds custom application sweeps beyond the stock figures.
 	Apps []AppSection `json:"apps,omitempty"`
 
-	Table2  *Table2Section  `json:"table2,omitempty"`
-	Figure4 *Figure4Section `json:"figure4,omitempty"`
-	Fault   *FaultSection   `json:"fault,omitempty"`
+	Table2      *Table2Section      `json:"table2,omitempty"`
+	Figure3     *Figure3Section     `json:"figure3,omitempty"`
+	Attribution *AttributionSection `json:"attribution,omitempty"`
+	Figure4     *Figure4Section     `json:"figure4,omitempty"`
+	Fault       *FaultSection       `json:"fault,omitempty"`
 }
 
 // AppSection is one custom application sweep panel.
@@ -104,6 +110,25 @@ type AppSection struct {
 // to core.DefaultTable2Config.
 type Table2Section struct {
 	Nodes           int     `json:"nodes,omitempty"`
+	DurationSeconds float64 `json:"duration_seconds,omitempty"`
+	Seed            int64   `json:"seed,omitempty"`
+}
+
+// Figure3Section configures the noise-length time series: one single-core,
+// single-node FWQ run per listed countermeasure (short names, see
+// core.Countermeasures). Zero fields default to the published series:
+// ["none", "daemons"], 360 s, seed 20211114.
+type Figure3Section struct {
+	Countermeasures []string `json:"countermeasures,omitempty"`
+	DurationSeconds float64  `json:"duration_seconds,omitempty"`
+	Seed            int64    `json:"seed,omitempty"`
+}
+
+// AttributionSection configures the ftrace-style per-source interference
+// attribution on application cores (Sec. 4.2.1). Zero fields default to
+// blkmq, 120 s, seed 20211114.
+type AttributionSection struct {
+	Countermeasure  string  `json:"countermeasure,omitempty"`
 	DurationSeconds float64 `json:"duration_seconds,omitempty"`
 	Seed            int64   `json:"seed,omitempty"`
 }
@@ -144,14 +169,20 @@ func LoadSpec(path string) (*Spec, error) {
 
 // ParseSpec decodes a declarative campaign spec from raw JSON — the same
 // decoding LoadSpec applies to a file, exposed for callers that receive
-// specs over the wire (cmd/simd). The defaulted name keeps a nameless spec
-// valid in both paths, and therefore keeps the content-hash identity of a
-// submitted spec equal to the identity the CLI would compute for the same
-// file.
+// specs over the wire (cmd/simd). Unknown fields are rejected, so a
+// misspelled section fails instead of silently dropping its trials. The
+// defaulted name keeps a nameless spec valid in both paths, and therefore
+// keeps the content-hash identity of a submitted spec equal to the identity
+// the CLI would compute for the same file.
 func ParseSpec(blob []byte) (*Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(blob, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("campaigns: trailing data after spec")
 	}
 	if s.Name == "" {
 		s.Name = "sweep"
@@ -166,7 +197,7 @@ func (t *Table2Section) Table2Config() core.Table2Config {
 		cfg.Nodes = t.Nodes
 	}
 	if t.DurationSeconds > 0 {
-		cfg.Duration = time.Duration(t.DurationSeconds * float64(time.Second))
+		cfg.Duration = seconds(t.DurationSeconds)
 	}
 	if t.Seed != 0 {
 		cfg.Seed = t.Seed
@@ -187,7 +218,7 @@ func (f *Figure4Section) Figure4Config() core.Figure4Config {
 		cfg.Fugaku24Racks = f.Fugaku24Racks
 	}
 	if f.DurationSeconds > 0 {
-		cfg.Duration = time.Duration(f.DurationSeconds * float64(time.Second))
+		cfg.Duration = seconds(f.DurationSeconds)
 	}
 	if f.WorstNodes > 0 {
 		cfg.WorstNodes = f.WorstNodes
@@ -205,34 +236,84 @@ func (f *Figure4Section) iterations() int {
 	return f.Iterations
 }
 
-// FaultSpecs resolves the section into concrete sweep points.
-func (f *FaultSection) FaultSpecs() []FaultPointSpec {
-	platform := f.Platform
-	if platform == "" {
-		platform = "fugaku"
+// resolved returns the section with every zero field at its default.
+func (f FaultSection) resolved() FaultSection {
+	if f.Platform == "" {
+		f.Platform = "fugaku"
 	}
-	intensities := f.Intensities
-	if len(intensities) == 0 {
-		intensities = []float64{0, 0.5, 1, 2, 4}
+	if len(f.Intensities) == 0 {
+		f.Intensities = []float64{0, 0.5, 1, 2, 4}
 	}
-	jobs, nodes, seed := f.Jobs, f.Nodes, f.Seed
-	if jobs <= 0 {
-		jobs = 6
+	if f.Jobs <= 0 {
+		f.Jobs = 6
 	}
-	if nodes <= 0 {
-		nodes = 8
+	if f.Nodes <= 0 {
+		f.Nodes = 8
 	}
-	if seed == 0 {
-		seed = 42
+	if f.Seed == 0 {
+		f.Seed = 42
 	}
-	return FaultPoints(platform, intensities, DefaultFaultRates(), jobs, nodes, seed)
+	return f
 }
 
-// Campaign builds the combined campaign the spec describes. Trial keys are
-// namespaced per family, so the sections coexist in one trial matrix.
-func (s *Spec) Campaign() (*sweep.Campaign, error) {
-	c := &sweep.Campaign{Name: s.Name, Seed: s.Seed}
+// FaultSpecs resolves the section into concrete sweep points.
+func (f *FaultSection) FaultSpecs() []FaultPointSpec {
+	r := f.resolved()
+	return FaultPoints(r.Platform, r.Intensities, DefaultFaultRates(), r.Jobs, r.Nodes, r.Seed)
+}
 
+// resolved returns the section with every zero field at its default.
+func (f Figure3Section) resolved() Figure3Section {
+	if len(f.Countermeasures) == 0 {
+		f.Countermeasures = []string{"none", "daemons"}
+	}
+	if f.DurationSeconds <= 0 {
+		f.DurationSeconds = 360
+	}
+	if f.Seed == 0 {
+		f.Seed = noiseSeed
+	}
+	return f
+}
+
+// resolved returns the section with every zero field at its default.
+func (a AttributionSection) resolved() AttributionSection {
+	if a.Countermeasure == "" {
+		a.Countermeasure = "blkmq"
+	}
+	if a.DurationSeconds <= 0 {
+		a.DurationSeconds = 120
+	}
+	if a.Seed == 0 {
+		a.Seed = noiseSeed
+	}
+	return a
+}
+
+// noiseSeed is the default seed of the single-node noise experiments.
+const noiseSeed = 20211114
+
+// seconds converts a spec duration to a time.Duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+
+// checkCountermeasures rejects unknown and repeated short names up front, so
+// a bad spec fails before any trial runs.
+func checkCountermeasures(cms ...string) error {
+	known := core.Countermeasures()
+	for i, cm := range cms {
+		if !slices.Contains(known, cm) {
+			return fmt.Errorf("campaigns: unknown countermeasure %q (want one of %v)", cm, known)
+		}
+		if slices.Contains(cms[:i], cm) {
+			return fmt.Errorf("campaigns: countermeasure %q listed twice", cm)
+		}
+	}
+	return nil
+}
+
+// figureSpecs expands the Figures and Apps sections into figure panels, in
+// spec order.
+func (s *Spec) figureSpecs() ([]core.FigureSpec, error) {
 	var figSpecs []core.FigureSpec
 	for _, f := range s.Figures {
 		switch f {
@@ -252,6 +333,18 @@ func (s *Spec) Campaign() (*sweep.Campaign, error) {
 			Figure: "custom", Platform: p, App: a.App, Nodes: a.Nodes,
 		})
 	}
+	return figSpecs, nil
+}
+
+// Campaign builds the combined campaign the spec describes. Trial keys are
+// namespaced per family, so the sections coexist in one trial matrix.
+func (s *Spec) Campaign() (*sweep.Campaign, error) {
+	c := &sweep.Campaign{Name: s.Name, Seed: s.Seed}
+
+	figSpecs, err := s.figureSpecs()
+	if err != nil {
+		return nil, err
+	}
 	if len(figSpecs) > 0 {
 		fc, err := FigurePoints(s.Name, figSpecs, s.Seeds, s.Runs, s.Seed)
 		if err != nil {
@@ -261,6 +354,20 @@ func (s *Spec) Campaign() (*sweep.Campaign, error) {
 	}
 	if s.Table2 != nil {
 		c.Trials = append(c.Trials, Table2(s.Table2.Table2Config(), s.Seed).Trials...)
+	}
+	if s.Figure3 != nil {
+		f3 := s.Figure3.resolved()
+		if err := checkCountermeasures(f3.Countermeasures...); err != nil {
+			return nil, err
+		}
+		c.Trials = append(c.Trials, Figure3(f3.Countermeasures, seconds(f3.DurationSeconds), f3.Seed, s.Seed).Trials...)
+	}
+	if s.Attribution != nil {
+		a := s.Attribution.resolved()
+		if err := checkCountermeasures(a.Countermeasure); err != nil {
+			return nil, err
+		}
+		c.Trials = append(c.Trials, Attribution(a.Countermeasure, seconds(a.DurationSeconds), a.Seed, s.Seed).Trials...)
 	}
 	if s.Figure4 != nil {
 		f4 := Figure4(s.Figure4.Figure4Config(), s.Figure4.iterations(), s.Seed)

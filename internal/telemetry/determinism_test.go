@@ -16,7 +16,7 @@ import (
 	"mkos/internal/telemetry"
 )
 
-// sweep runs a small faultexp-equivalent batch on a fresh sink and returns
+// sweep runs a small fault-sweep-equivalent batch on a fresh sink and returns
 // the metrics dump and trace JSON.
 func sweep(t *testing.T) (metrics, trace string) {
 	t.Helper()
