@@ -2,7 +2,7 @@ GO ?= go
 J ?= 0
 SWEEP_SPEC ?= specs/ci-sweep.json
 
-.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism results results-check sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard
+.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism results results-check sweep sweep-race sweep-determinism sweep-interrupt bench-sweep bench-node fuzz-smoke simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard
 
 all: check
 
@@ -85,6 +85,20 @@ sweep-interrupt:
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkCampaign -benchtime 3x ./internal/sweep/
 
+# bench-node records the node-build micro-benchmarks at the platform
+# presets' shapes: IHK memory reservation on a fresh OFP and Fugaku Linux
+# kernel (plus a reserve/release/reserve round trip) and Platform.NewNode
+# for {OFP, Fugaku} x {Linux, McKernel}, with ns/op, B/op and allocs/op.
+bench-node:
+	$(GO) test -run '^$$' -bench 'BenchmarkReserveMemory|BenchmarkNewNode' ./internal/ihk/ ./internal/cluster/
+
+# fuzz-smoke runs each native fuzz target briefly. FuzzBuddyDifferential
+# checks the buddy allocator against its map-based predecessor on decoded
+# operation sequences. Minimization is capped so the budget goes to new
+# inputs rather than to shrinking the ones already found.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzBuddyDifferential -fuzztime 10s -fuzzminimizetime 200x ./internal/mem/
+
 # simd-race runs the campaign daemon and chaos-injector tests under the race
 # detector (also part of the full `race` target).
 simd-race:
@@ -165,4 +179,4 @@ results-check:
 # check is what CI runs: formatting, vet, the simlint invariant gate,
 # build, the full suite under the race detector, the determinism gates,
 # and the daemon chaos/load gates.
-check: fmt vet lint build race determinism results-check sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism
+check: fmt vet lint build race fuzz-smoke determinism results-check sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism

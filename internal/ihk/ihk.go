@@ -120,16 +120,22 @@ func (m *Manager) ReserveMemory(bytesPerDomain int64) error {
 			return fmt.Errorf("ihk: reserving memory: %w", err)
 		}
 	}
-	var got []mem.Region
-	for _, node := range m.Host.Mem.AppNodes() {
+	nodes := m.Host.Mem.AppNodes()
+	// A domain yields at most ceil(bytes / maxBlock) regions: every chunk
+	// but the last is one max-order block. Capping bytes at the domain's
+	// size keeps an unsatisfiable request from sizing a huge slice.
+	blocks := 0
+	for _, node := range nodes {
+		maxBlock := node.Buddy.BasePage() << node.Buddy.MaxOrder()
+		bytes := min(bytesPerDomain, node.Buddy.TotalBytes())
+		blocks += int((bytes + maxBlock - 1) / maxBlock)
+	}
+	got := make([]mem.Region, 0, blocks)
+	for _, node := range nodes {
+		maxBlock := node.Buddy.BasePage() << node.Buddy.MaxOrder()
 		remaining := bytesPerDomain
 		for remaining > 0 {
-			chunk := remaining
-			maxBlock := node.Buddy.BasePage() << node.Buddy.MaxOrder()
-			if chunk > maxBlock {
-				chunk = maxBlock
-			}
-			r, err := node.Buddy.Alloc(chunk)
+			r, err := node.Buddy.Alloc(min(remaining, maxBlock))
 			if err != nil {
 				// Roll back everything taken so far.
 				for _, rr := range got {

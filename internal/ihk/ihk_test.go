@@ -2,10 +2,12 @@ package ihk
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mkos/internal/cpu"
 	"mkos/internal/linux"
+	"mkos/internal/mem"
 )
 
 func newHost(t *testing.T) *linux.Kernel {
@@ -100,6 +102,63 @@ func TestReserveMemoryRollsBackOnFailure(t *testing.T) {
 	}
 	if m.Host.Mem.FreeBytes() != before {
 		t.Fatal("failed reservation leaked memory")
+	}
+}
+
+// TestReserveReleaseReserveReusesBlocks walks cmd/lwkctl's teardown path
+// (boot, shutdown, release) and reserves again: the released blocks go
+// back to the front of Linux's free lists, so the second reservation must
+// hand out exactly the first one's blocks, and the release must restore
+// every domain's max-order block count.
+func TestReserveReleaseReserveReusesBlocks(t *testing.T) {
+	ofp, err := linux.NewKernel(cpu.KNL(), linux.OFPTuning(), 112<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		host  *linux.Kernel
+		bytes int64
+	}{
+		{"fugaku", newHost(t), 6 << 30},
+		{"ofp", ofp, 16 << 30},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewManager(c.host)
+			if err := m.ReserveCPUs(m.Host.Topo.AppCores()); err != nil {
+				t.Fatal(err)
+			}
+			var maxBlocks []int
+			for _, node := range m.Host.Mem.Nodes {
+				maxBlocks = append(maxBlocks, node.Buddy.FreeBlocksAt(node.Buddy.MaxOrder()))
+			}
+			reserve := func() []mem.Region {
+				t.Helper()
+				if err := m.ReserveMemory(c.bytes); err != nil {
+					t.Fatal(err)
+				}
+				part, err := m.Boot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Shutdown(); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.ReleaseMemory(); err != nil {
+					t.Fatal(err)
+				}
+				for i, node := range m.Host.Mem.Nodes {
+					if got := node.Buddy.FreeBlocksAt(node.Buddy.MaxOrder()); got != maxBlocks[i] {
+						t.Fatalf("domain %d: %d max-order blocks after release, want %d", node.ID, got, maxBlocks[i])
+					}
+				}
+				return part.Memory
+			}
+			first, second := reserve(), reserve()
+			if !slices.Equal(first, second) {
+				t.Fatalf("second reservation differs from the first:\n%v\n%v", first, second)
+			}
+		})
 	}
 }
 
