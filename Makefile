@@ -94,10 +94,13 @@ bench-node:
 
 # fuzz-smoke runs each native fuzz target briefly. FuzzBuddyDifferential
 # checks the buddy allocator against its map-based predecessor on decoded
-# operation sequences. Minimization is capped so the budget goes to new
-# inputs rather than to shrinking the ones already found.
+# operation sequences; FuzzSpecID checks the daemon's admission boundary
+# (typed rejection, canonical-spec fixed point). Minimization is capped so
+# the budget goes to new inputs rather than to shrinking the ones already
+# found.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBuddyDifferential -fuzztime 10s -fuzzminimizetime 200x ./internal/mem/
+	$(GO) test -run '^$$' -fuzz FuzzSpecID -fuzztime 10s -fuzzminimizetime 200x ./internal/simd/
 
 # simd-race runs the campaign daemon and chaos-injector tests under the race
 # detector (also part of the full `race` target).

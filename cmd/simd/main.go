@@ -7,16 +7,15 @@
 // SIGKILLed daemon restarted on the same -store resumes every unfinished
 // campaign with zero re-executed trials and byte-identical artifacts.
 //
-// By default (-isolate) each campaign executes in a supervised child process
-// — a re-exec of this binary in a hidden worker mode — so a runaway trial's
-// memory, a wedge or a crash kills one campaign's worker, never the daemon.
-// The supervisor restarts dead workers under deterministic capped backoff
-// (the journal makes every restart a resume), enforces an optional RSS
-// ceiling (-rss-limit-mb), per-campaign wall deadline (-campaign-deadline)
-// and heartbeat watchdog, and trips a per-campaign crash-loop circuit
-// breaker after -crash-loop-k consecutive deaths with no progress (terminal
-// state crash_loop; resubmitting re-arms it). -isolate=false restores
-// in-process execution.
+// Each campaign executes in a supervised child process — a re-exec of this
+// binary in a hidden worker mode — so a runaway trial's memory, a wedge or a
+// crash kills one campaign's worker, never the daemon. The supervisor
+// restarts dead workers under deterministic capped backoff (the journal
+// makes every restart a resume), enforces an optional RSS ceiling
+// (-rss-limit-mb), per-campaign wall deadline (-campaign-deadline) and
+// heartbeat watchdog, and trips a per-campaign crash-loop circuit breaker
+// after -crash-loop-k consecutive deaths with no progress (terminal state
+// crash_loop; resubmitting re-arms it).
 //
 // Shutdown reuses the two-stage signal story of every CLI here: the first
 // SIGINT/SIGTERM stops admission (typed 503), lets running campaigns finish
@@ -38,7 +37,7 @@
 //
 //	simd -store /var/lib/simd [-addr :8080] [-j 4] [-concurrency 1]
 //	     [-max-queue 64] [-max-per-client 8] [-trial-timeout 0]
-//	     [-isolate] [-rss-limit-mb 0] [-campaign-deadline 0] [-crash-loop-k 3]
+//	     [-rss-limit-mb 0] [-campaign-deadline 0] [-crash-loop-k 3]
 //	     [-log-level info] [-debug-addr 127.0.0.1:6060]
 package main
 
@@ -78,7 +77,6 @@ func main() {
 	drainGrace := flag.Duration("drain-grace", 0, "how long running campaigns may finish naturally on drain (0 = default 2s)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this extra address (off when empty)")
-	isolate := flag.Bool("isolate", true, "run each campaign in a supervised worker process (false = in-process)")
 	rssLimitMB := flag.Int64("rss-limit-mb", 0, "kill a worker whose resident set exceeds this many MiB (0 = no limit)")
 	campaignDeadline := flag.Duration("campaign-deadline", 0, "fail a campaign exceeding this wall time across worker restarts (0 = no limit)")
 	crashLoopK := flag.Int("crash-loop-k", 3, "open the crash-loop breaker after this many consecutive worker deaths with no progress")
@@ -92,6 +90,10 @@ func main() {
 		log.Fatal("provide -store DIR (the daemon's durable state)")
 	}
 
+	exe, err := os.Executable()
+	if err != nil {
+		log.Fatalf("resolving own executable for worker re-exec: %v", err)
+	}
 	opts := simd.Options{
 		Store:        *store,
 		Workers:      *workers,
@@ -102,30 +104,24 @@ func main() {
 		DrainGrace:   *drainGrace,
 		Log:          os.Stderr,
 		LogLevel:     *logLevel,
-	}
-	if *isolate {
-		exe, err := os.Executable()
-		if err != nil {
-			log.Fatalf("resolving own executable for worker re-exec: %v", err)
-		}
-		opts.Worker = simd.WorkerOptions{
+		Worker: simd.WorkerOptions{
 			Cmd:        []string{exe, "-worker"},
 			RSSLimit:   *rssLimitMB << 20,
 			Deadline:   *campaignDeadline,
 			CrashLoopK: *crashLoopK,
+		},
+	}
+	if *chaosKills != 0 {
+		killer := &chaos.WorkerKiller{
+			Plan:  chaos.NewPlan(*chaosSeed),
+			Kills: *chaosKills,
+			Min:   *chaosMin,
+			Max:   *chaosMax,
 		}
-		if *chaosKills != 0 {
-			killer := &chaos.WorkerKiller{
-				Plan:  chaos.NewPlan(*chaosSeed),
-				Kills: *chaosKills,
-				Min:   *chaosMin,
-				Max:   *chaosMax,
-			}
-			match := *chaosMatch
-			opts.Worker.SpawnHook = func(campaign string, attempt, pid int) {
-				if match == "" || strings.Contains(campaign, match) {
-					killer.Arm(pid)
-				}
+		match := *chaosMatch
+		opts.Worker.SpawnHook = func(campaign string, attempt, pid int) {
+			if match == "" || strings.Contains(campaign, match) {
+				killer.Arm(pid)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package simd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,7 +31,7 @@ type campaign struct {
 
 	// st is the current wire status; guarded by Server.mu.
 	st Status
-	// cancel stops the running sweep; cancelReq distinguishes an operator
+	// cancel stops the running campaign; cancelReq distinguishes an operator
 	// cancel from a drain. Guarded by Server.mu.
 	cancel    context.CancelFunc
 	cancelReq bool
@@ -56,8 +55,8 @@ type campaign struct {
 	waitSpan *ops.Span
 }
 
-// Server is the campaign daemon: admission, fair queueing, execution through
-// the sweep orchestrator, persistence, and recovery.
+// Server is the campaign daemon: admission, fair queueing, execution in a
+// supervised worker, persistence, and recovery.
 type Server struct {
 	opts   Options
 	store  *store
@@ -293,12 +292,15 @@ func (s *Server) Kill() {
 	s.events.closeAll()
 }
 
-// runCampaign executes one campaign — in process through the sweep
-// orchestrator, or out of process through a supervised worker when
-// Options.Worker.Cmd is set — and settles its state. ctx is the dispatcher's
-// run context: canceling it (drain deadline, hard kill) cancels the sweep.
+// runCampaign executes one campaign through a supervised worker
+// (internal/simd/worker) and settles its state. Options.Worker.Cmd selects
+// the subprocess transport; without it the worker protocol runs in memory,
+// building the campaign with Options.Build. The worker writes the journal and
+// the artifacts; the supervisor restarts it across deaths; this side relays
+// trial events, mirrors restart accounting into the campaign status, and
+// settles from the terminal Result. ctx is the dispatcher's run context:
+// canceling it (drain deadline, hard kill) cancels the campaign.
 func (s *Server) runCampaign(ctx context.Context, c *campaign) {
-	workerMode := len(s.opts.Worker.Cmd) > 0
 	if c.built == nil {
 		// Requeued after a terminal state (crash_loop, journal conflict) by a
 		// daemon that recovered it from disk: rebuild from the canonical spec.
@@ -324,9 +326,7 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 	c.cancel = cancel
 	preCanceled := c.cancelReq
 	c.st.State = StateRunning
-	if workerMode {
-		c.st.Breaker = "closed"
-	}
+	c.st.Breaker = "closed"
 	c.runStart = time.Now()
 	st := c.st
 	span, waitSpan := c.span, c.waitSpan
@@ -335,7 +335,7 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 	if preCanceled {
 		// A cancel accepted between the dispatcher's pop and this point found
 		// c.cancel still nil; honor it now so the 202 the operator already
-		// holds is not lost and the sweep does not run to completion.
+		// holds is not lost and the campaign does not run to completion.
 		cancel()
 	}
 	if !s.hardKill.Load() {
@@ -348,119 +348,105 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 
 	// The dispatcher runs on its own context (cancellation: drain or an
 	// operator cancel), so the flight-recorder linkage is re-attached
-	// explicitly: spans opened inside the sweep parent under the campaign
-	// span the submit request opened.
-	rctx := ops.WithSpan(ops.Attach(ctx, s.tracer), span)
-	rctx, runSpan := ops.Start(rctx, "run")
-	if workerMode {
-		s.runWorker(rctx, runSpan, c)
-		return
-	}
-	o, err := sweep.RunContext(rctx, c.built, sweep.Options{
-		Workers:      s.opts.Workers,
-		CacheDir:     s.store.cacheDir(),
-		Version:      s.opts.Version,
-		TrialTimeout: s.opts.TrialTimeout,
-		CancelGrace:  s.opts.CancelGrace,
-		OnTrial:      func(ev sweep.TrialEvent) { s.publishTrial(c, ev) },
-	})
-	if o != nil {
-		s.ops.Counter("simd.trials.executed").Add(int64(o.Executed))
-		s.ops.Counter("simd.trials.cached").Add(int64(o.Cached))
-		s.ops.Counter("simd.trials.failed").Add(int64(o.Failed))
-		s.ops.AddSnapshot(o.Ops.Snapshot())
-		runSpan.End(
-			ops.Arg{Key: "executed", Val: strconv.Itoa(o.Executed)},
-			ops.Arg{Key: "cached", Val: strconv.Itoa(o.Cached)},
-			ops.Arg{Key: "failed", Val: strconv.Itoa(o.Failed)})
-	} else {
-		runSpan.End(ops.Arg{Key: "err", Val: fmt.Sprint(err)})
-	}
-
+	// explicitly: the run span and the mirrored trial spans parent under the
+	// campaign span the submit request opened.
+	ctx = ops.WithSpan(ops.Attach(ctx, s.tracer), span)
+	ctx, runSpan := ops.Start(ctx, "run")
+	res, err := s.supervise(ctx, c)
 	s.mu.Lock()
 	c.cancel = nil
 	canceled := c.cancelReq
 	s.mu.Unlock()
-
-	switch {
-	case err == nil:
-		results := resultsJSON(o)
-		var metrics bytes.Buffer
-		if _, werr := o.Registry.WriteTo(&metrics); werr != nil {
-			s.settle(c, StateFailed, outcomeTally(o), fmt.Sprintf("rendering metrics: %v", werr))
+	if err != nil {
+		runSpan.End(ops.Arg{Key: "err", Val: err.Error()})
+		if errors.Is(err, sweep.ErrJournalBusy) {
+			s.settleBusy(c, nil, err.Error())
 			return
 		}
-		if aerr := s.store.putArtifacts(c.id, results, metrics.Bytes()); aerr != nil {
-			s.settle(c, StateFailed, outcomeTally(o), fmt.Sprintf("writing artifacts: %v", aerr))
-			return
-		}
-		s.settle(c, StateDone, outcomeTally(o), "")
-		s.log.Info(fmt.Sprintf("campaign %s: %d trials: %d executed, %d cached, %d failed",
-			c.id, len(o.Results), o.Executed, o.Cached, o.Failed),
-			oplog.F("campaign", c.id), oplog.F("executed", o.Executed),
-			oplog.F("cached", o.Cached), oplog.F("failed", o.Failed))
-
-	case errors.Is(err, sweep.ErrInterrupted):
-		switch {
-		case canceled:
-			s.settle(c, StateCanceled, outcomeTally(o), "")
-			s.log.Info(fmt.Sprintf("campaign %s canceled (%d trials unfinished)", c.id, o.Canceled),
-				oplog.F("campaign", c.id), oplog.F("unfinished", o.Canceled))
-		default:
-			// Drain or hard kill: the campaign is not over, it is paused.
-			// Finished trials are already journaled; persist the
-			// interruption (unless we are simulating a crash, which gets no
-			// courtesy writes) so the next incarnation requeues it.
-			s.settle(c, StateInterrupted, outcomeTally(o), "")
-			s.log.Info(fmt.Sprintf("campaign %s interrupted: %d trials journaled for resume", c.id, o.Executed+o.Cached),
-				oplog.F("campaign", c.id), oplog.F("journaled", o.Executed+o.Cached))
-		}
-
-	case errors.Is(err, sweep.ErrJournalBusy):
-		// Another daemon holds this campaign's journal — a deployment
-		// overlap, not a campaign defect. The state is failed (this daemon
-		// cannot run it) but the conflict is transient: results requests
-		// answer 409 and a resubmission requeues the campaign.
-		s.mu.Lock()
-		c.busy = true
-		s.mu.Unlock()
-		s.settle(c, StateFailed, outcomeTally(o), err.Error())
-		s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
+		s.settle(c, StateFailed, nil, err.Error())
+		s.log.Error(fmt.Sprintf("campaign %s worker supervisor failed", c.id),
 			oplog.F("campaign", c.id), oplog.F("err", err.Error()))
+		return
+	}
 
-	default:
-		s.settle(c, StateFailed, outcomeTally(o), err.Error())
+	sum := &res.Summary
+	s.ops.Counter("simd.trials.executed").Add(int64(sum.Executed))
+	s.ops.Counter("simd.trials.cached").Add(int64(sum.Cached))
+	s.ops.Counter("simd.trials.failed").Add(int64(sum.Failed))
+	if res.Ops != nil {
+		s.ops.AddSnapshot(res.Ops)
+	}
+	runSpan.End(
+		ops.Arg{Key: "executed", Val: strconv.Itoa(sum.Executed)},
+		ops.Arg{Key: "cached", Val: strconv.Itoa(sum.Cached)},
+		ops.Arg{Key: "failed", Val: strconv.Itoa(sum.Failed)},
+		ops.Arg{Key: "restarts", Val: strconv.Itoa(res.Restarts)})
+
+	s.mu.Lock()
+	c.st.Restarts, c.st.LastExit = res.Restarts, res.LastExit
+	if res.State == worker.StateCrashLoop {
+		c.st.Breaker = "open"
+	}
+	s.mu.Unlock()
+
+	switch res.State {
+	case worker.StateDone:
+		// The worker wrote (and checksummed) the artifacts before its done
+		// event; nothing to persist here but the status.
+		s.settle(c, StateDone, sum, "")
+		s.log.Info(fmt.Sprintf("campaign %s: %d trials: %d executed, %d cached, %d failed (%d worker restarts)",
+			c.id, st.Total, sum.Executed, sum.Cached, sum.Failed, res.Restarts),
+			oplog.F("campaign", c.id), oplog.F("executed", sum.Executed),
+			oplog.F("cached", sum.Cached), oplog.F("failed", sum.Failed),
+			oplog.F("restarts", res.Restarts))
+
+	case worker.StateInterrupted:
+		if canceled {
+			s.settle(c, StateCanceled, sum, "")
+			s.log.Info(fmt.Sprintf("campaign %s canceled (%d trials unfinished)", c.id, sum.Canceled),
+				oplog.F("campaign", c.id), oplog.F("unfinished", sum.Canceled))
+			return
+		}
+		// Drain or hard kill: the campaign is not over, it is paused.
+		// Finished trials are already journaled; persist the interruption
+		// (unless we are simulating a crash, which gets no courtesy writes)
+		// so the next incarnation requeues it.
+		s.settle(c, StateInterrupted, sum, "")
+		s.log.Info(fmt.Sprintf("campaign %s interrupted: %d trials journaled for resume", c.id, sum.Executed+sum.Cached),
+			oplog.F("campaign", c.id), oplog.F("journaled", sum.Executed+sum.Cached))
+
+	case worker.StateCrashLoop:
+		s.settle(c, StateCrashLoop, sum, res.Err)
+		s.log.Error(fmt.Sprintf("campaign %s crash-looped: breaker open after %d worker deaths (last: %s)",
+			c.id, res.Restarts, res.LastExit),
+			oplog.F("campaign", c.id), oplog.F("restarts", res.Restarts), oplog.F("last_exit", res.LastExit))
+
+	default: // worker.StateFailed
+		if res.Reason == worker.ReasonJournalBusy {
+			s.settleBusy(c, sum, res.Err)
+			return
+		}
+		s.settle(c, StateFailed, sum, res.Err)
 		s.log.Error(fmt.Sprintf("campaign %s failed", c.id),
-			oplog.F("campaign", c.id), oplog.F("err", err.Error()))
+			oplog.F("campaign", c.id), oplog.F("err", res.Err))
 	}
 }
 
-// runWorker executes one campaign out of process through a supervised worker
-// (internal/simd/worker). The worker writes the journal and the artifacts;
-// the supervisor restarts it across deaths; this side relays trial events,
-// mirrors restart accounting into the campaign status, and settles from the
-// terminal Result.
-func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) {
-	w := s.opts.Worker
-	// Preflight the journal flock so a cross-daemon conflict is detected
-	// without burning worker incarnations into the crash-loop breaker. The
-	// probe releases the flock on every path (it belongs to the probe's
-	// descriptor); other probe errors are left for the worker to report with
-	// full context.
+// supervise runs the campaign's worker incarnations to a terminal Result.
+// The journal flock is preflighted first so a cross-daemon conflict is
+// reported as sweep.ErrJournalBusy without burning worker incarnations into
+// the crash-loop breaker. The probe releases the flock on every path (it
+// belongs to the probe's descriptor); other probe errors are left for the
+// worker to report with full context.
+func (s *Server) supervise(ctx context.Context, c *campaign) (*worker.Result, error) {
 	if _, perr := sweep.ProbeJournal(s.store.cacheDir(), s.opts.Version, c.built.Name, c.built.Seed); errors.Is(perr, sweep.ErrJournalBusy) {
-		s.mu.Lock()
-		c.cancel = nil
-		c.busy = true
-		s.mu.Unlock()
-		runSpan.End(ops.Arg{Key: "err", Val: perr.Error()})
-		s.settle(c, StateFailed, nil, perr.Error())
-		s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
-			oplog.F("campaign", c.id), oplog.F("err", perr.Error()))
-		return
+		return nil, perr
 	}
+	w := s.opts.Worker
 	sup := &worker.Supervisor{
 		Cmd:              w.Cmd,
 		Env:              w.Env,
+		Build:            s.opts.Build,
 		RSSLimit:         w.RSSLimit,
 		Deadline:         w.Deadline,
 		HeartbeatTimeout: w.HeartbeatTimeout,
@@ -477,8 +463,8 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 		},
 		OnTrial: func(ev worker.Event) {
 			// Mirror the sweep's per-trial flight-recorder span so /v1/trace
-			// tells the same story in either execution mode. Wall time already
-			// elapsed in the worker; the span records it as an annotation.
+			// shows every trial the worker retired. Wall time already elapsed
+			// in the worker; the span records it as an annotation.
 			_, tspan := ops.StartTrack(ctx, "trial", ops.Arg{Key: "key", Val: ev.Key})
 			args := []ops.Arg{{Key: "wall_ms", Val: fmt.Sprintf("%.3f", ev.WallMS)}}
 			if ev.Cached {
@@ -488,11 +474,7 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 				args = append(args, ops.Arg{Key: "err", Val: ev.Err})
 			}
 			tspan.End(args...)
-			s.publishTrial(c, sweep.TrialEvent{
-				Key: ev.Key, Err: ev.Err, Cached: ev.Cached,
-				Wall: time.Duration(ev.WallMS * float64(time.Millisecond)),
-				Done: ev.Done, Total: ev.Total,
-			})
+			s.publishTrial(c, ev)
 		},
 		OnExit: func(attempt int, cause string) {
 			s.mu.Lock()
@@ -512,7 +494,7 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 			s.log.Debug(fmt.Sprintf(format, args...), oplog.F("campaign", c.id))
 		},
 	}
-	res, err := sup.Run(ctx, worker.Request{
+	return sup.Run(ctx, worker.Request{
 		Spec:           json.RawMessage(c.canon),
 		CacheDir:       s.store.cacheDir(),
 		ArtifactDir:    s.store.dir(c.id),
@@ -521,106 +503,31 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 		CancelGraceMS:  int64(s.opts.CancelGrace / time.Millisecond),
 		Version:        s.opts.Version,
 	})
-	if err != nil {
-		s.mu.Lock()
-		c.cancel = nil
-		s.mu.Unlock()
-		runSpan.End(ops.Arg{Key: "err", Val: err.Error()})
-		s.settle(c, StateFailed, nil, err.Error())
-		s.log.Error(fmt.Sprintf("campaign %s worker supervisor failed", c.id),
-			oplog.F("campaign", c.id), oplog.F("err", err.Error()))
-		return
-	}
+}
 
-	t := &tally{executed: res.Summary.Executed, cached: res.Summary.Cached, failed: res.Summary.Failed}
-	s.ops.Counter("simd.trials.executed").Add(int64(t.executed))
-	s.ops.Counter("simd.trials.cached").Add(int64(t.cached))
-	s.ops.Counter("simd.trials.failed").Add(int64(t.failed))
-	if res.Ops != nil {
-		s.ops.AddSnapshot(res.Ops)
-	}
-	runSpan.End(
-		ops.Arg{Key: "executed", Val: strconv.Itoa(t.executed)},
-		ops.Arg{Key: "cached", Val: strconv.Itoa(t.cached)},
-		ops.Arg{Key: "failed", Val: strconv.Itoa(t.failed)},
-		ops.Arg{Key: "restarts", Val: strconv.Itoa(res.Restarts)})
-
+// settleBusy fails a campaign whose journal another daemon holds — a
+// deployment overlap, not a campaign defect. The state is failed (this
+// daemon cannot run it) but the conflict is transient: results requests
+// answer 409 and a resubmission requeues the campaign.
+func (s *Server) settleBusy(c *campaign, sum *worker.Summary, errMsg string) {
 	s.mu.Lock()
-	c.cancel = nil
-	canceled := c.cancelReq
-	total := c.st.Total
-	c.st.Restarts, c.st.LastExit = res.Restarts, res.LastExit
-	if res.State == worker.StateCrashLoop {
-		c.st.Breaker = "open"
-	}
+	c.busy = true
 	s.mu.Unlock()
-
-	switch res.State {
-	case worker.StateDone:
-		// The worker wrote (and checksummed) the artifacts before its done
-		// event; nothing to persist here but the status.
-		s.settle(c, StateDone, t, "")
-		s.log.Info(fmt.Sprintf("campaign %s: %d trials: %d executed, %d cached, %d failed (%d worker restarts)",
-			c.id, total, t.executed, t.cached, t.failed, res.Restarts),
-			oplog.F("campaign", c.id), oplog.F("executed", t.executed),
-			oplog.F("cached", t.cached), oplog.F("failed", t.failed),
-			oplog.F("restarts", res.Restarts))
-
-	case worker.StateInterrupted:
-		if canceled {
-			s.settle(c, StateCanceled, t, "")
-			s.log.Info(fmt.Sprintf("campaign %s canceled", c.id), oplog.F("campaign", c.id))
-		} else {
-			s.settle(c, StateInterrupted, t, "")
-			s.log.Info(fmt.Sprintf("campaign %s interrupted: %d trials journaled for resume", c.id, t.executed+t.cached),
-				oplog.F("campaign", c.id), oplog.F("journaled", t.executed+t.cached))
-		}
-
-	case worker.StateCrashLoop:
-		s.settle(c, StateCrashLoop, t, res.Err)
-		s.log.Error(fmt.Sprintf("campaign %s crash-looped: breaker open after %d worker deaths (last: %s)",
-			c.id, res.Restarts, res.LastExit),
-			oplog.F("campaign", c.id), oplog.F("restarts", res.Restarts), oplog.F("last_exit", res.LastExit))
-
-	default: // worker.StateFailed
-		if res.Reason == worker.ReasonJournalBusy {
-			s.mu.Lock()
-			c.busy = true
-			s.mu.Unlock()
-			s.settle(c, StateFailed, t, res.Err)
-			s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
-				oplog.F("campaign", c.id), oplog.F("err", res.Err))
-			return
-		}
-		s.settle(c, StateFailed, t, res.Err)
-		s.log.Error(fmt.Sprintf("campaign %s failed", c.id),
-			oplog.F("campaign", c.id), oplog.F("err", res.Err))
-	}
-}
-
-// tally is the trial accounting a settling campaign reports, shared by the
-// in-process path (from sweep.Outcome) and the worker path (from the done
-// event's Summary).
-type tally struct {
-	executed, cached, failed int
-}
-
-func outcomeTally(o *sweep.Outcome) *tally {
-	if o == nil {
-		return nil
-	}
-	return &tally{executed: o.Executed, cached: o.Cached, failed: o.Failed}
+	s.settle(c, StateFailed, sum, errMsg)
+	s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
+		oplog.F("campaign", c.id), oplog.F("err", errMsg))
 }
 
 // settle moves a campaign to its post-run state, persists it (except under a
 // simulated crash), publishes the state transition to live streams, and
-// records the latency observation for terminal outcomes.
-func (s *Server) settle(c *campaign, state string, t *tally, errMsg string) {
+// records the latency observation for terminal outcomes. sum, when non-nil,
+// is the worker's trial accounting.
+func (s *Server) settle(c *campaign, state string, sum *worker.Summary, errMsg string) {
 	s.mu.Lock()
 	c.st.State = state
 	c.st.Err = errMsg
-	if t != nil {
-		c.st.Executed, c.st.Cached, c.st.Failed = t.executed, t.cached, t.failed
+	if sum != nil {
+		c.st.Executed, c.st.Cached, c.st.Failed = sum.Executed, sum.Cached, sum.Failed
 	}
 	st := c.st
 	elapsed := time.Since(c.submitted)
@@ -648,13 +555,12 @@ func (s *Server) publishState(id, state, errMsg string) {
 	s.events.publish(id, Event{Type: "state", State: state, Err: errMsg})
 }
 
-// publishTrial relays one finished trial from the sweep hook onto the event
-// stream, adding the wall-clock ETA estimate.
-func (s *Server) publishTrial(c *campaign, ev sweep.TrialEvent) {
+// publishTrial relays one trial event from the worker onto the campaign's
+// event stream, adding the wall-clock ETA estimate.
+func (s *Server) publishTrial(c *campaign, ev worker.Event) {
 	e := Event{
 		Type: "trial", Key: ev.Key, Cached: ev.Cached, TrialErr: ev.Err,
-		WallMS: float64(ev.Wall) / float64(time.Millisecond),
-		Done:   ev.Done, Total: ev.Total,
+		WallMS: ev.WallMS, Done: ev.Done, Total: ev.Total,
 	}
 	if ev.Done > 0 && ev.Done < ev.Total {
 		s.mu.Lock()
@@ -666,20 +572,6 @@ func (s *Server) publishTrial(c *campaign, ev sweep.TrialEvent) {
 		}
 	}
 	s.events.publish(c.id, e)
-}
-
-// resultsJSON renders the deterministic results artifact in exactly the
-// complete-run format cmd/sweep writes, so a campaign served by the daemon
-// byte-compares against one run by the CLI.
-func resultsJSON(o *sweep.Outcome) []byte {
-	blob, err := json.MarshalIndent(o.Results, "", "  ")
-	if err != nil {
-		// Results marshaled once already (per trial); a failure here is a
-		// programming error surfaced as an empty artifact rather than a
-		// daemon crash.
-		return []byte("[]\n")
-	}
-	return append(blob, '\n')
 }
 
 // Handler returns the daemon's HTTP API, wrapped in the observability
@@ -911,19 +803,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.store.remove(id)
 		c.waitSpan.End(ops.Arg{Key: "outcome", Val: "rejected"})
 		c.span.End(ops.Arg{Key: "state", Val: "rejected"})
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.ops.Counter("simd.rejected.queue_full").Inc()
-			reject(w, http.StatusTooManyRequests, ReasonQueueFull,
-				fmt.Sprintf("queue holds %d campaigns", s.opts.MaxQueue), 250*time.Millisecond)
-		case errors.Is(err, errClientBacklog):
-			s.ops.Counter("simd.rejected.client_backlog").Inc()
-			reject(w, http.StatusTooManyRequests, ReasonClientBacklog,
-				fmt.Sprintf("client %q already has %d campaigns queued", client, s.opts.MaxPerClient), 250*time.Millisecond)
-		default:
-			s.ops.Counter("simd.rejected.draining").Inc()
-			reject(w, http.StatusServiceUnavailable, ReasonDraining, "daemon is draining", time.Second)
-		}
+		s.rejectPush(w, client, err)
 		return
 	}
 	s.gaugeDepth()
@@ -936,11 +816,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, st)
 }
 
+// rejectPush answers a refused queue push with its typed 429 or 503 and
+// counts the rejection.
+func (s *Server) rejectPush(w http.ResponseWriter, client string, err error) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		s.ops.Counter("simd.rejected.queue_full").Inc()
+		reject(w, http.StatusTooManyRequests, ReasonQueueFull,
+			fmt.Sprintf("queue holds %d campaigns", s.opts.MaxQueue), 250*time.Millisecond)
+	case errors.Is(err, errClientBacklog):
+		s.ops.Counter("simd.rejected.client_backlog").Inc()
+		reject(w, http.StatusTooManyRequests, ReasonClientBacklog,
+			fmt.Sprintf("client %q already has %d campaigns queued", client, s.opts.MaxPerClient), 250*time.Millisecond)
+	default:
+		s.ops.Counter("simd.rejected.draining").Inc()
+		reject(w, http.StatusServiceUnavailable, ReasonDraining, "daemon is draining", time.Second)
+	}
+}
+
 // requeueBusyLocked retries a campaign that settled terminal-but-retryable:
 // failed on a held journal (the resubmission is the operator's signal that
 // the other daemon may be gone) or crash-looped (the resubmission re-arms the
-// breaker). Called with s.mu held; releases it.
+// breaker). The push happens before any state changes, so a refused requeue
+// answers the same typed 429/503 as a refused submission and leaves the
+// campaign exactly as it was. Called with s.mu held; releases it.
 func (s *Server) requeueBusyLocked(w http.ResponseWriter, r *http.Request, c *campaign) {
+	// Pushing under s.mu keeps a dispatcher that pops the campaign at once
+	// from reading it before the reset below (s.mu before the queue lock, as
+	// in handleCancel).
+	if err := s.queue.push(c.st.Client, c); err != nil {
+		client := c.st.Client
+		s.mu.Unlock()
+		s.rejectPush(w, client, err)
+		return
+	}
+	cause := "journal conflict"
+	if c.st.State == StateCrashLoop {
+		cause = "crash loop (breaker re-armed)"
+	}
 	c.busy = false
 	c.cancelReq = false
 	c.st.State = StateQueued
@@ -950,21 +863,9 @@ func (s *Server) requeueBusyLocked(w http.ResponseWriter, r *http.Request, c *ca
 	c.span, c.waitSpan = s.openSpans(r.Context(), c.id, "requeued")
 	st := c.st
 	s.mu.Unlock()
-	if err := s.queue.push(st.Client, c); err != nil {
-		s.mu.Lock()
-		c.busy = true
-		c.st.State = StateFailed
-		span, waitSpan := c.span, c.waitSpan
-		s.mu.Unlock()
-		waitSpan.End(ops.Arg{Key: "outcome", Val: "rejected"})
-		span.End(ops.Arg{Key: "state", Val: StateFailed})
-		reject(w, http.StatusConflict, ReasonJournalBusy,
-			"campaign journal was held by another daemon and the retry could not be queued", time.Second)
-		return
-	}
 	s.store.putStatus(c.id, &st)
 	s.gaugeDepth()
-	s.log.Info(fmt.Sprintf("requeued campaign %s after journal conflict", c.id),
+	s.log.Info(fmt.Sprintf("requeued campaign %s after %s", c.id, cause),
 		oplog.F("campaign", c.id), oplog.F("request_id", ops.RequestID(r.Context())))
 	s.observe(c.id, StateQueued)
 	s.publishState(c.id, StateQueued, "")

@@ -1,6 +1,6 @@
 // Package simd is simulation-as-a-service: a long-lived HTTP/JSON daemon
 // that accepts the declarative campaign specs the CLIs already consume
-// (internal/sweep/campaigns), runs them through the sweep orchestrator, and
+// (internal/sweep/campaigns), runs each in a supervised sweep worker, and
 // is engineered to stay up and stay correct under failure and overload —
 // the operational regime of the paper's pre-exascale campaigns, where node
 // failures, daemons dying mid-run and oversubscribed queues are routine.
@@ -133,11 +133,12 @@ type Options struct {
 	// probes log at debug.
 	LogLevel string
 
-	// Worker, when Worker.Cmd is non-empty, moves trial execution out of
-	// process: each campaign is dispatched to a supervised child running
-	// Worker.Cmd against the shared cache dir, with restarts, heartbeats,
-	// resource ceilings and a crash-loop breaker. Empty Cmd keeps the
-	// original in-process path.
+	// Worker configures the supervised worker every campaign runs in, with
+	// restarts, heartbeats, resource ceilings and a crash-loop breaker.
+	// Worker.Cmd names the worker binary: each campaign is dispatched to a
+	// child process running it against the shared cache dir. Empty Cmd runs
+	// the same worker protocol in memory, on a goroutine of the daemon (how
+	// tests and embedders run).
 	Worker WorkerOptions
 
 	// StoreFault, when non-nil, intercepts every atomic store write (chaos /
@@ -145,10 +146,11 @@ type Options struct {
 	StoreFault cas.WriteFault
 
 	// Build converts a parsed spec into the runnable campaign. Nil selects
-	// the production path, campaigns.Spec.Campaign; tests substitute
-	// synthetic trial bodies while keeping the whole admission, queueing,
-	// persistence and resume machinery real. Ignored by the out-of-process
-	// path: workers always build the production campaign (worker test
+	// the production path, campaigns.Spec.Campaign. It feeds admission (the
+	// trial count, spec validation) and the in-memory worker transport;
+	// tests substitute synthetic trial bodies while keeping the whole
+	// admission, queueing, worker protocol, persistence and resume machinery
+	// real. A subprocess worker builds its own campaign (worker test
 	// binaries substitute their own BuildFunc).
 	Build func(*campaigns.Spec) (*sweep.Campaign, error)
 	// Observe, when non-nil, is called on every campaign state transition
@@ -156,12 +158,13 @@ type Options struct {
 	Observe func(id, state string)
 }
 
-// WorkerOptions configures out-of-process trial execution (the supervisor's
-// containment policy; see internal/simd/worker).
+// WorkerOptions configures campaign execution: the worker transport and the
+// supervisor's containment policy (see internal/simd/worker).
 type WorkerOptions struct {
 	// Cmd is the worker argv; element 0 is the binary. cmd/simd passes its
-	// own executable plus the hidden -worker flag. Empty disables the
-	// out-of-process path.
+	// own executable plus the hidden -worker flag. Empty selects the
+	// in-memory transport, where the RSS ceiling and SpawnHook (which sees
+	// pid 0) have no process to act on.
 	Cmd []string
 	// Env is the worker environment; nil inherits the daemon's.
 	Env []string
@@ -234,13 +237,13 @@ type Status struct {
 	// Deduped marks a submit response that matched an existing campaign
 	// instead of admitting a new one.
 	Deduped bool `json:"deduped,omitempty"`
-	// Restarts counts worker deaths this campaign has survived (out-of-
-	// process mode only); LastExit names the most recent death's cause
-	// ("signal: killed", "exit status 2", "rss_limit", "heartbeat_stall").
+	// Restarts counts worker deaths this campaign has survived; LastExit
+	// names the most recent death's cause ("signal: killed", "exit status
+	// 2", "rss_limit", "heartbeat_stall").
 	Restarts int    `json:"restarts,omitempty"`
 	LastExit string `json:"last_exit,omitempty"`
-	// Breaker is the crash-loop circuit breaker's position: "closed" while a
-	// supervised campaign runs, "open" once it trips (state crash_loop).
+	// Breaker is the crash-loop circuit breaker's position: "closed" while
+	// the campaign runs, "open" once it trips (state crash_loop).
 	Breaker string `json:"breaker,omitempty"`
 }
 

@@ -34,9 +34,8 @@ func openStore(root string, fault cas.WriteFault) (*store, error) {
 	return &store{d: d}, nil
 }
 
-func (s *store) cacheDir() string            { return s.d.CacheDir() }
-func (s *store) dir(id string) string        { return s.d.CampaignDir(id) }
-func (s *store) path(id, name string) string { return s.d.Path(id, name) }
+func (s *store) cacheDir() string     { return s.d.CacheDir() }
+func (s *store) dir(id string) string { return s.d.CampaignDir(id) }
 
 // admit persists a newly admitted campaign: its spec (the canonical form its
 // ID hashes, sidecar-checksummed — a corrupted spec is unresumable) and its
@@ -56,17 +55,6 @@ func (s *store) putStatus(id string, st *Status) error {
 		return err
 	}
 	return s.d.WriteFile(s.d.Path(id, "status.json"), append(blob, '\n'))
-}
-
-// putArtifacts persists the deterministic campaign artifacts with sidecars.
-// results.json is written before status flips to done, so a "done" status
-// always has results behind it; a crash between the two re-runs the campaign
-// from the journal and rewrites byte-identical artifacts.
-func (s *store) putArtifacts(id string, results, metrics []byte) error {
-	if err := s.d.WriteArtifact(s.d.Path(id, "results.json"), results); err != nil {
-		return err
-	}
-	return s.d.WriteArtifact(s.d.Path(id, "metrics.txt"), metrics)
 }
 
 // remove deletes a campaign's directory — the undo of admit, for campaigns

@@ -21,23 +21,32 @@ import (
 
 // BuildFunc converts a parsed spec into the runnable campaign. The nil
 // default is the production path, campaigns.Spec.Campaign; test binaries
-// acting as workers substitute synthetic trial bodies, exactly as simd
-// Options.Build does in-process.
+// acting as workers, and the daemon's in-memory transport (which passes simd
+// Options.Build), substitute synthetic trial bodies.
 type BuildFunc func(*campaigns.Spec) (*sweep.Campaign, error)
 
-// Main is the worker-mode entry point: cmd/simd calls it (and exits with
+// Main is the worker-process entry point: cmd/simd calls it (and exits with
 // its return value) when invoked with the hidden -worker flag, and test
-// binaries call it when re-executed as workers. It reads one Request from
-// stdin, runs the campaign through sweep.RunContext against the shared
-// cache dir, streams Events on stdout and exits: 0 after any properly
-// reported terminal state (done, interrupted, failed — the outcome is in
-// the done event, not the exit code), 2 on a protocol error before the
-// campaign could start.
-//
-// SIGTERM and SIGINT cancel the campaign cooperatively: finished trials are
-// already journaled, the done event reports "interrupted", and the next
-// incarnation resumes with zero re-executed trials.
+// binaries call it when re-executed as workers. SIGTERM and SIGINT cancel the
+// campaign cooperatively: finished trials are already journaled, the done
+// event reports "interrupted", and the next incarnation resumes with zero
+// re-executed trials. run implements the protocol.
 func Main(stdin io.Reader, stdout, stderr io.Writer, build BuildFunc) int {
+	//simlint:allow ctxflow — worker-process root context: born at exec, canceled by SIGTERM/SIGINT; there is no caller to inherit from
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	return run(ctx, os.Getpid(), stdin, stdout, stderr, build)
+}
+
+// run is the worker protocol loop, shared by both transports: the subprocess
+// reaches it through Main, the in-memory transport on a goroutine. It reads
+// one Request from stdin, runs the campaign through sweep.RunContext against
+// the shared cache dir, streams Events on stdout (hello carries pid) and
+// returns the exit code: 0 after any properly reported terminal state (done,
+// interrupted, failed — the outcome is in the done event, not the exit code),
+// 2 on a protocol error before the campaign could start. Canceling ctx
+// interrupts the campaign.
+func run(ctx context.Context, pid int, stdin io.Reader, stdout, stderr io.Writer, build BuildFunc) int {
 	if build == nil {
 		build = func(s *campaigns.Spec) (*sweep.Campaign, error) { return s.Campaign() }
 	}
@@ -48,11 +57,7 @@ func Main(stdin io.Reader, stdout, stderr io.Writer, build BuildFunc) int {
 	}
 
 	emit := newEmitter(stdout)
-	emit.send(Event{Ev: EvHello, PID: os.Getpid()})
-
-	//simlint:allow ctxflow — worker-process root context: born at exec, canceled by SIGTERM/SIGINT; there is no caller to inherit from
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
+	emit.send(Event{Ev: EvHello, PID: pid})
 
 	// The liveness ticker beats independently of trial completions, so a
 	// long-running trial does not read as a wedged worker; the per-trial
@@ -87,7 +92,6 @@ func Main(stdin io.Reader, stdout, stderr io.Writer, build BuildFunc) int {
 		return 0
 	}
 
-	//simlint:allow ctxflow — Main is the worker-process entrypoint: its ctx is the signal context above, and its only callers (cmd/simd -worker, test TestMains) are exec boundaries with no context to pass
 	o, err := sweep.RunContext(ctx, built, sweep.Options{
 		Workers:      req.Workers,
 		CacheDir:     req.CacheDir,
@@ -130,24 +134,23 @@ func Main(stdin io.Reader, stdout, stderr io.Writer, build BuildFunc) int {
 func isInterrupted(err error) bool { return errors.Is(err, sweep.ErrInterrupted) }
 func isJournalBusy(err error) bool { return errors.Is(err, sweep.ErrJournalBusy) }
 
-// writeArtifacts renders and lands the deterministic campaign artifacts in
-// exactly the format cmd/sweep and the in-process daemon path produce, so a
-// supervised campaign byte-compares against both. results.json is written
-// before metrics.txt; both carry sha256 sidecars.
+// writeArtifacts renders and lands the deterministic campaign artifacts
+// through the same renderers cmd/sweep uses, so a supervised campaign
+// byte-compares against a CLI run. results.json is written before
+// metrics.txt; both carry sha256 sidecars.
 func writeArtifacts(dir string, o *sweep.Outcome) error {
 	if dir == "" {
 		return nil
 	}
-	results, err := json.MarshalIndent(o.Results, "", "  ")
-	if err != nil {
+	var results, metrics bytes.Buffer
+	if err := sweep.WriteResults(&results, o); err != nil {
 		return err
 	}
-	var metrics bytes.Buffer
 	if _, err := o.Registry.WriteTo(&metrics); err != nil {
 		return err
 	}
 	d := &store.Dir{Root: dir}
-	if err := d.WriteArtifact(filepath.Join(dir, "results.json"), append(results, '\n')); err != nil {
+	if err := d.WriteArtifact(filepath.Join(dir, "results.json"), results.Bytes()); err != nil {
 		return err
 	}
 	return d.WriteArtifact(filepath.Join(dir, "metrics.txt"), metrics.Bytes())

@@ -1,10 +1,18 @@
-// Package worker is simd's out-of-process trial execution layer: the daemon
-// dispatches each campaign to a supervised child process (a re-exec of its
-// own binary in a hidden worker mode) that runs the sweep orchestrator
-// against the shared cache directory and exits. Process isolation is the
-// paper's failure model applied to the service itself: a runaway trial's
-// RSS, a wedged model loop or a panic that escapes recovery now kills one
-// campaign's worker — never the daemon and never the other tenants.
+// Package worker is simd's campaign execution layer and the daemon's only
+// way to run one: each campaign is dispatched to a supervised worker that
+// runs the sweep orchestrator against the shared cache directory and exits.
+// Process isolation is the paper's failure model applied to the service
+// itself: a runaway trial's RSS, a wedged model loop or a panic that escapes
+// recovery kills one campaign's worker — never the daemon and never the
+// other tenants.
+//
+// The worker speaks one protocol over two transports. The subprocess
+// transport (Supervisor.Cmd set) re-execs the daemon's own binary in a
+// hidden worker mode, which calls Main; it is the production path. The
+// in-memory transport (Cmd empty) runs the same protocol loop on a goroutine
+// connected by io.Pipes, building campaigns with Supervisor.Build; tests and
+// embedders use it. It has no pid, so the RSS ceiling and the chaos
+// WorkerKiller do not apply to it.
 //
 // Correctness under worker death costs nothing new: every finished trial is
 // already in the campaign's crash-safe journal (internal/sweep), so a

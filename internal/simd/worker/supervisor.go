@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"os/exec"
 	"sync"
-	"syscall"
 	"time"
 
 	"mkos/internal/telemetry"
@@ -23,14 +21,19 @@ import (
 // progress.
 type Supervisor struct {
 	// Cmd is the worker argv (Cmd[0] is the binary — typically the daemon's
-	// own executable with the hidden -worker flag). Required.
+	// own executable with the hidden -worker flag). Empty selects the
+	// in-memory transport: each incarnation runs the worker protocol on a
+	// goroutine of this process, building campaigns with Build.
 	Cmd []string
 	// Env is the worker's environment; nil inherits the daemon's.
 	Env []string
+	// Build is the in-memory transport's campaign builder; nil builds the
+	// production campaign. A subprocess worker builds its own.
+	Build BuildFunc
 
 	// RSSLimit, when > 0, SIGKILLs a worker whose resident set exceeds it
 	// (bytes). Polled from /proc/<pid>/statm; a no-op on platforms without
-	// it.
+	// it and for the in-memory transport.
 	RSSLimit int64
 	// Deadline, when > 0, bounds the whole campaign's wall time across all
 	// incarnations; exceeding it is a terminal failure, not a restart.
@@ -54,8 +57,8 @@ type Supervisor struct {
 	// second-opinion liveness signal when the pipe goes quiet.
 	JournalPath string
 
-	// OnSpawn is called with each incarnation's attempt index and pid,
-	// immediately after fork — the chaos WorkerKiller arms here.
+	// OnSpawn is called with each incarnation's attempt index and pid (0 in
+	// memory), immediately after start — the chaos WorkerKiller arms here.
 	OnSpawn func(attempt, pid int)
 	// OnTrial is called for every trial event, in journal order.
 	OnTrial func(Event)
@@ -102,9 +105,6 @@ type onceOut struct {
 // reserved for supervisor-level failures (unable to spawn at all); every
 // worker outcome, including crash loops, is a Result.
 func (s *Supervisor) Run(ctx context.Context, req Request) (*Result, error) {
-	if len(s.Cmd) == 0 {
-		return nil, fmt.Errorf("worker: supervisor has no command")
-	}
 	k := s.CrashLoopK
 	if k <= 0 {
 		k = 3
@@ -192,35 +192,19 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 		grace = 2 * time.Second
 	}
 
-	cmd := exec.Command(s.Cmd[0], s.Cmd[1:]...)
-	if len(s.Env) > 0 {
-		cmd.Env = s.Env
-	}
-	setPdeathsig(cmd)
-	stdin, err := cmd.StdinPipe()
+	inc, err := s.start()
 	if err != nil {
-		return nil, fmt.Errorf("worker stdin: %w", err)
+		return nil, err
 	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, fmt.Errorf("worker stdout: %w", err)
-	}
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, fmt.Errorf("worker stderr: %w", err)
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("spawning worker: %w", err)
-	}
-	pid := cmd.Process.Pid
+	pid := inc.pid
 	if s.OnSpawn != nil {
 		s.OnSpawn(attempt, pid)
 	}
 
 	go func() { // a worker that dies before reading makes this a broken pipe; EOF reports it
-		enc := json.NewEncoder(stdin)
+		enc := json.NewEncoder(inc.stdin)
 		_ = enc.Encode(req)
-		stdin.Close()
+		inc.stdin.Close()
 	}()
 
 	events := make(chan Event, 64)
@@ -229,7 +213,7 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 	go func() {
 		defer readers.Done()
 		defer close(events)
-		sc := bufio.NewScanner(stdout)
+		sc := bufio.NewScanner(inc.stdout)
 		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 		for sc.Scan() {
 			var ev Event
@@ -240,19 +224,19 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 	}()
 	go func() {
 		defer readers.Done()
-		sc := bufio.NewScanner(stderr)
+		sc := bufio.NewScanner(inc.stderr)
 		for sc.Scan() {
 			logf("worker[%d]: %s", pid, sc.Text())
 		}
 	}()
 
-	// reap drains the pipes and collects the exit status; Wait must not run
+	// reap drains the pipes and collects the exit status; wait must not run
 	// before the pipe readers finish.
 	reap := func() string {
 		for range events {
 		}
 		readers.Wait()
-		if werr := cmd.Wait(); werr != nil {
+		if werr := inc.wait(); werr != nil {
 			return werr.Error()
 		}
 		return "exit status 0"
@@ -275,7 +259,7 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 	}
 
 	var rssCh <-chan time.Time
-	if s.RSSLimit > 0 {
+	if s.RSSLimit > 0 && pid > 0 {
 		rt := time.NewTicker(100 * time.Millisecond)
 		defer rt.Stop()
 		rssCh = rt.C
@@ -286,12 +270,7 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 		select {
 		case ev, ok := <-events:
 			if !ok { // EOF without a done event: the worker died
-				readers.Wait()
-				cause := "exit status 0"
-				if werr := cmd.Wait(); werr != nil {
-					cause = werr.Error()
-				}
-				out.kind, out.cause = onceDied, cause
+				out.kind, out.cause = onceDied, reap()
 				return out, nil
 			}
 			switch ev.Ev {
@@ -314,15 +293,14 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 		case <-ctx.Done():
 			// Cooperative cancel: SIGTERM, give the worker KillGrace to
 			// journal in-flight trials and report, then SIGKILL.
-			_ = cmd.Process.Signal(syscall.SIGTERM)
+			inc.terminate()
 			gt := time.NewTimer(grace)
 			defer gt.Stop()
 			for {
 				select {
 				case ev, ok := <-events:
 					if !ok {
-						readers.Wait()
-						_ = cmd.Wait()
+						reap()
 						out.kind = onceCanceled
 						return out, nil
 					}
@@ -341,21 +319,21 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 						return out, nil
 					}
 				case <-gt.C:
-					_ = cmd.Process.Kill()
+					inc.kill()
 					reap()
 					out.kind = onceCanceled
 					return out, nil
 				}
 			}
 		case <-deadlineCh:
-			_ = cmd.Process.Kill()
+			inc.kill()
 			reap()
 			out.kind, out.cause = onceDeadline, "deadline"
 			return out, nil
 		case <-rssCh:
 			if rss, ok := rssBytes(pid); ok && rss > s.RSSLimit {
 				logf("worker[%d] rss %d bytes exceeds limit %d; killing", pid, rss, s.RSSLimit)
-				_ = cmd.Process.Kill()
+				inc.kill()
 				reap()
 				out.kind, out.cause = onceDied, "rss_limit"
 				return out, nil
@@ -369,7 +347,7 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 				continue
 			}
 			logf("worker[%d] heartbeat stalled for %s; killing", pid, hbTO)
-			_ = cmd.Process.Kill()
+			inc.kill()
 			reap()
 			out.kind, out.cause = onceDied, "heartbeat_stall"
 			return out, nil

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -459,5 +460,148 @@ func TestSupervisorDeadline(t *testing.T) {
 	}
 	if res.State != worker.StateFailed || res.LastExit != "deadline" {
 		t.Fatalf("overdue campaign = %+v, want failed via deadline", res)
+	}
+}
+
+// The in-memory transport (Supervisor.Cmd empty) runs the same protocol loop
+// on a goroutine of this test process, building campaigns with
+// Supervisor.Build.
+
+func TestInMemoryCleanRun(t *testing.T) {
+	dir := t.TempDir()
+	art := filepath.Join(dir, "art")
+	var log trialLog
+	var pids []int
+	sup := &worker.Supervisor{
+		Build:   testBuild,
+		OnSpawn: func(_, pid int) { pids = append(pids, pid) },
+		OnTrial: log.add,
+	}
+	res, err := sup.Run(context.Background(), worker.Request{
+		Spec: specJSON("mem-clean", 3, 4), CacheDir: filepath.Join(dir, "cache"),
+		ArtifactDir: art, Workers: 1, Version: "wkr-v1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != worker.StateDone || res.Restarts != 0 {
+		t.Fatalf("clean in-memory run: %+v, want done with 0 restarts", res)
+	}
+	if res.Summary.Executed != 4 || res.Summary.Cached != 0 || res.Ops == nil {
+		t.Fatalf("summary %+v (ops %v), want 4 executed / 0 cached with an ops snapshot", res.Summary, res.Ops != nil)
+	}
+	if got := log.executedKeys(); len(got) != 4 {
+		t.Fatalf("OnTrial saw %d executed trials, want 4: %v", len(got), got)
+	}
+	if len(pids) != 1 || pids[0] != 0 {
+		t.Fatalf("OnSpawn saw pids %v, want one incarnation with pid 0", pids)
+	}
+	for _, name := range []string{"results.json", "metrics.txt"} {
+		if _, serr := os.Stat(filepath.Join(art, name+".sha256")); serr != nil {
+			t.Fatalf("artifact %s or its sidecar missing: %v", name, serr)
+		}
+	}
+}
+
+// TestInMemoryCancel: canceling the supervisor's context terminates the
+// in-memory worker, which drains and reports interrupted in its own done
+// event (the supervisor's fallback result carries no ops snapshot).
+func TestInMemoryCancel(t *testing.T) {
+	t.Setenv("WORKER_TEST_SLOW_MS", "20")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	sup := &worker.Supervisor{
+		Build:     testBuild,
+		KillGrace: 10 * time.Second,
+		OnTrial:   func(worker.Event) { once.Do(cancel) },
+	}
+	res, err := sup.Run(ctx, worker.Request{
+		Spec: specJSON("mem-cancel", 2, 50), CacheDir: filepath.Join(t.TempDir(), "cache"),
+		Workers: 1, Version: "wkr-v1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != worker.StateInterrupted || res.Restarts != 0 {
+		t.Fatalf("canceled in-memory run = %+v, want interrupted with 0 restarts", res)
+	}
+	if res.Ops == nil || res.Summary.Canceled == 0 {
+		t.Fatalf("interrupted result %+v did not come from the worker's done event", res)
+	}
+}
+
+// TestInMemoryMalformedRequest: a request the worker cannot decode ends the
+// incarnation with exit code 2, reported with the same cause a child process
+// exiting 2 gives, and the worker's stderr reaches Logf.
+func TestInMemoryMalformedRequest(t *testing.T) {
+	var mu sync.Mutex
+	var causes, logs []string
+	sup := &worker.Supervisor{
+		Build:       testBuild,
+		CrashLoopK:  1,
+		BackoffBase: time.Millisecond,
+		OnExit: func(_ int, cause string) {
+			mu.Lock()
+			causes = append(causes, cause)
+			mu.Unlock()
+		},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	}
+	// Invalid JSON in the raw spec makes the request unencodable, so the
+	// worker reads an empty stdin.
+	res, err := sup.Run(context.Background(), worker.Request{
+		Spec: json.RawMessage(`{"name":`), CacheDir: t.TempDir(), Workers: 1, Version: "wkr-v1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if res.State != worker.StateCrashLoop || res.LastExit != "exit status 2" {
+		t.Fatalf("malformed request = %+v, want crash_loop via exit status 2", res)
+	}
+	if len(causes) != 1 || causes[0] != "exit status 2" {
+		t.Fatalf("OnExit saw %v, want [exit status 2]", causes)
+	}
+	var decoded bool
+	for _, l := range logs {
+		decoded = decoded || strings.Contains(l, "decoding request")
+	}
+	if !decoded {
+		t.Fatalf("worker stderr never reached Logf: %q", logs)
+	}
+}
+
+// TestInMemoryJournalFreeAfterRun: when Supervisor.Run returns — here after
+// a cancel whose KillGrace expires while a trial is still running — the
+// in-memory worker has let go of the campaign journal, so a successor can
+// take its flock at once.
+func TestInMemoryJournalFreeAfterRun(t *testing.T) {
+	t.Setenv("WORKER_TEST_SLOW_MS", "200")
+	cache := filepath.Join(t.TempDir(), "cache")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	sup := &worker.Supervisor{
+		Build:     testBuild,
+		KillGrace: time.Millisecond,
+		OnTrial:   func(worker.Event) { once.Do(cancel) },
+	}
+	res, err := sup.Run(ctx, worker.Request{
+		Spec: specJSON("mem-free", 4, 10), CacheDir: cache, Workers: 1, Version: "wkr-v1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != worker.StateInterrupted {
+		t.Fatalf("canceled in-memory run = %+v, want interrupted", res)
+	}
+	if n, jerr := sweep.ProbeJournal(cache, "wkr-v1", "mem-free", 4); jerr != nil || n == 0 {
+		t.Fatalf("journal probe right after Run = (%d, %v), want a free journal with the finished trial", n, jerr)
 	}
 }

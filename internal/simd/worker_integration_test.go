@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +20,8 @@ import (
 // supervisor re-execs it with SIMD_TEST_WORKER=1 it runs the real worker
 // protocol (worker.Main) with synthetic trial bodies, so the out-of-process
 // tests exercise the entire daemon → supervisor → child → journal → store
-// pipeline with nothing mocked.
+// pipeline with nothing mocked. Every other daemon test runs the same
+// protocol over the in-memory transport.
 func TestMain(m *testing.M) {
 	if os.Getenv("SIMD_TEST_WORKER") == "1" {
 		os.Exit(worker.Main(os.Stdin, os.Stdout, os.Stderr, testWorkerBuild))
@@ -28,8 +30,8 @@ func TestMain(m *testing.M) {
 }
 
 // testWorkerBuild mirrors harness.build exactly — same keys, same trial
-// specs, same seed-derived values — so worker-mode results byte-compare
-// against in-process runs of the same campaign. Name prefixes select failure
+// specs, same seed-derived values — so subprocess results byte-compare
+// against in-memory runs of the same campaign. Name prefixes select failure
 // behavior: "poison-" kills the process inside the first trial body (before
 // anything journals — the no-progress crash loop), "slow-" paces each trial
 // at ~60ms so chaos kills land mid-campaign.
@@ -70,13 +72,15 @@ func testWorkerOpts() simd.WorkerOptions {
 	}
 }
 
-// TestWorkerModeMatchesInProcess: the same campaign run out of process and in
-// process produces byte-identical results.json — and in worker mode not one
-// trial body executes inside the daemon.
-func TestWorkerModeMatchesInProcess(t *testing.T) {
+// TestTransportsMatch: the same campaign run through the subprocess
+// transport and through the in-memory transport produces byte-identical
+// results.json and metrics.txt and the same trial accounting — and on the
+// subprocess side not one trial body executes inside the daemon.
+func TestTransportsMatch(t *testing.T) {
 	ctx := testCtx(t)
 	h := newHarness()
-	dw := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build, Worker: testWorkerOpts()})
+	storeW := t.TempDir()
+	dw := startDaemon(t, simd.Options{Store: storeW, Build: h.build, Worker: testWorkerOpts()})
 	defer dw.stop()
 	cl := dw.client("iso")
 
@@ -89,22 +93,23 @@ func TestWorkerModeMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.State != simd.StateDone || st.Executed != 4 || st.Cached != 0 {
-		t.Fatalf("worker-mode campaign = %+v, want done with 4 executed", st)
+		t.Fatalf("subprocess campaign = %+v, want done with 4 executed", st)
 	}
 	if st.Restarts != 0 || st.Breaker == "open" {
 		t.Fatalf("undisturbed campaign reports restarts=%d breaker=%q", st.Restarts, st.Breaker)
 	}
 	if n := h.entries.Load(); n != 0 {
-		t.Fatalf("%d trial bodies ran inside the daemon; worker mode must execute out of process", n)
+		t.Fatalf("%d trial bodies ran inside the daemon; the subprocess transport must execute out of process", n)
 	}
 	wres, err := cl.Results(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The reference: same spec, in-process daemon, fresh store.
+	// The reference: same spec, in-memory transport, fresh store.
 	h2 := newHarness()
-	dp := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h2.build})
+	storeM := t.TempDir()
+	dp := startDaemon(t, simd.Options{Store: storeM, Build: h2.build})
 	defer dp.stop()
 	cl2 := dp.client("ref")
 	st2, err := cl2.Submit(ctx, specJSON("wmode", 5, 4))
@@ -114,12 +119,26 @@ func TestWorkerModeMatchesInProcess(t *testing.T) {
 	if st2, err = cl2.Await(ctx, st2.ID); err != nil || st2.State != simd.StateDone {
 		t.Fatalf("reference campaign: %+v, %v", st2, err)
 	}
+	if st2.Executed != st.Executed || st2.Cached != st.Cached || st2.Failed != st.Failed || st2.Total != st.Total {
+		t.Fatalf("in-memory status %+v does not match subprocess status %+v", st2, st)
+	}
 	pres, err := cl2.Results(ctx, st2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(wres) != string(pres) {
-		t.Fatalf("worker-mode results (%d bytes) differ from in-process results (%d bytes)", len(wres), len(pres))
+		t.Fatalf("subprocess results (%d bytes) differ from in-memory results (%d bytes)", len(wres), len(pres))
+	}
+	wmet, err := os.ReadFile(filepath.Join(storeW, "campaigns", st.ID, "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pmet, err := os.ReadFile(filepath.Join(storeM, "campaigns", st2.ID, "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(wmet) != string(pmet) {
+		t.Fatalf("subprocess metrics.txt (%d bytes) differs from in-memory metrics.txt (%d bytes)", len(wmet), len(pmet))
 	}
 }
 
@@ -276,14 +295,55 @@ func TestWorkerJournalBusyPreflight(t *testing.T) {
 	// The conflicting holder: the same campaign identity (name, seed, version,
 	// cache dir) with the same trial identities, run in process and parked on
 	// its first trial so it holds the journal flock.
-	cache := filepath.Join(store, "cache")
+	release := holdJournal(t, filepath.Join(store, "cache"), "busy-j", 3, 3)
+	defer release()
+
+	st, err := cl.Submit(ctx, specJSON("busy-j", 3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = cl.Await(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != simd.StateFailed || !strings.Contains(st.Err, "journal") {
+		t.Fatalf("campaign against a held journal = %+v, want failed with a journal error", st)
+	}
+	if st.Restarts != 0 {
+		t.Fatalf("preflight burned %d worker incarnations; the probe must catch the conflict first", st.Restarts)
+	}
+
+	release()
+
+	// The holder journaled all three trials; the resubmitted campaign resumes
+	// from them without executing anything.
+	st2, err := cl.Submit(ctx, specJSON("busy-j", 3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Terminal() {
+		t.Fatalf("resubmission answered terminal %q; want requeued", st2.State)
+	}
+	if st2, err = cl.Await(ctx, st2.ID); err != nil || st2.State != simd.StateDone {
+		t.Fatalf("resubmitted campaign: %+v, %v", st2, err)
+	}
+	if st2.Executed != 0 || st2.Cached != 3 {
+		t.Fatalf("resumed campaign executed=%d cached=%d, want 0/3 — every trial was in the holder's journal", st2.Executed, st2.Cached)
+	}
+}
+
+// holdJournal stands in for another daemon on the same cache dir: it runs a
+// campaign with the harness's trial identities for (name, seed, n) in
+// process, parked on its first trial so it holds the campaign journal's
+// flock. release lets it finish and waits for it; it is idempotent.
+func holdJournal(t *testing.T, cache, name string, seed int64, n int) (release func()) {
+	t.Helper()
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	holder := &sweep.Campaign{Name: "busy-j", Seed: 3}
-	for i := 0; i < 3; i++ {
+	holder := &sweep.Campaign{Name: name, Seed: seed}
+	for i := 0; i < n; i++ {
 		i := i
 		holder.Trials = append(holder.Trials, sweep.Trial{
-			Key:  fmt.Sprintf("busy-j/t%03d", i),
+			Key:  fmt.Sprintf("%s/t%03d", name, i),
 			Spec: map[string]int{"i": i},
 			Run: func(tt *sweep.T) (any, error) {
 				if i == 0 {
@@ -304,8 +364,33 @@ func TestWorkerJournalBusyPreflight(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("holder campaign never started")
 	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(gate)
+			if err := <-holderDone; err != nil {
+				t.Fatalf("holder campaign failed: %v", err)
+			}
+		})
+	}
+}
 
-	st, err := cl.Submit(ctx, specJSON("busy-j", 3, 3))
+// TestRequeueRefusedKeepsStatus: resubmitting a journal-busy campaign while
+// its client's backlog is full is refused with the same typed 429 a fresh
+// submission would get — not a 409 journal conflict — and the campaign's
+// failed status stays exactly as it was. Once the backlog drains and the
+// journal is free, the resubmission requeues it.
+func TestRequeueRefusedKeepsStatus(t *testing.T) {
+	ctx := testCtx(t)
+	store := t.TempDir()
+	h := newHarness()
+	d := startDaemon(t, simd.Options{Store: store, Build: h.build, MaxPerClient: 1})
+	defer d.stop()
+	cl := d.client("requeue")
+
+	release := holdJournal(t, filepath.Join(store, "cache"), "busy-q", 3, 3)
+	defer release()
+	st, err := cl.Submit(ctx, specJSON("busy-q", 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,29 +400,55 @@ func TestWorkerJournalBusyPreflight(t *testing.T) {
 	if st.State != simd.StateFailed || !strings.Contains(st.Err, "journal") {
 		t.Fatalf("campaign against a held journal = %+v, want failed with a journal error", st)
 	}
-	if st.Restarts != 0 {
-		t.Fatalf("preflight burned %d worker incarnations; the probe must catch the conflict first", st.Restarts)
-	}
 
-	close(gate)
-	if err := <-holderDone; err != nil {
-		t.Fatalf("holder campaign failed: %v", err)
-	}
-
-	// The holder journaled all three trials; the resubmitted campaign resumes
-	// from them without executing anything.
-	st2, err := cl.Submit(ctx, specJSON("busy-j", 3, 3))
+	// Fill the client's backlog: a blocking campaign holds the dispatcher and
+	// the next one waits in the queue.
+	hold, err := cl.Submit(ctx, specJSON("block-q", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Terminal() {
-		t.Fatalf("resubmission answered terminal %q; want requeued", st2.State)
+	h.awaitEntries(t, 1)
+	queued, err := cl.Submit(ctx, specJSON("fast-q", 1, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st2, err = cl.Await(ctx, st2.ID); err != nil || st2.State != simd.StateDone {
-		t.Fatalf("resubmitted campaign: %+v, %v", st2, err)
+
+	one := d.client("requeue")
+	one.MaxAttempts = 1
+	_, err = one.Submit(ctx, specJSON("busy-q", 3, 3))
+	if err == nil || !strings.Contains(err.Error(), "HTTP 429") || !strings.Contains(err.Error(), simd.ReasonClientBacklog) {
+		t.Fatalf("requeue against a full backlog: %v, want typed 429 %s", err, simd.ReasonClientBacklog)
 	}
-	if st2.Executed != 0 || st2.Cached != 3 {
-		t.Fatalf("resumed campaign executed=%d cached=%d, want 0/3 — every trial was in the holder's journal", st2.Executed, st2.Cached)
+	after, err := cl.Status(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != st {
+		t.Fatalf("refused requeue changed the campaign:\n before %+v\n after  %+v", st, after)
+	}
+	if _, err := one.Results(ctx, st.ID); err == nil || !strings.Contains(err.Error(), simd.ReasonJournalBusy) {
+		t.Fatalf("results after a refused requeue: %v, want the journal conflict still reported", err)
+	}
+	if n := d.srv.Stats().Rejected.ClientBacklog; n != 1 {
+		t.Fatalf("rejected.client_backlog = %d, want 1", n)
+	}
+
+	h.release()
+	for _, id := range []string{hold.ID, queued.ID} {
+		if fin, err := cl.Await(ctx, id); err != nil || fin.State != simd.StateDone {
+			t.Fatalf("backlog campaign %s: %+v, %v", id, fin, err)
+		}
+	}
+	release()
+	resub, err := cl.Submit(ctx, specJSON("busy-q", 3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resub.Terminal() {
+		t.Fatalf("resubmission answered terminal %q; want requeued", resub.State)
+	}
+	if fin, err := cl.Await(ctx, st.ID); err != nil || fin.State != simd.StateDone || fin.Cached != 3 {
+		t.Fatalf("requeued campaign: %+v, %v, want done with 3 cached", fin, err)
 	}
 }
 
