@@ -2,7 +2,7 @@ GO ?= go
 J ?= 0
 SWEEP_SPEC ?= specs/ci-sweep.json
 
-.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism results results-check sweep sweep-race sweep-determinism sweep-interrupt bench-sweep bench-node fuzz-smoke simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard
+.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism results results-check sweep sweep-race sweep-determinism sweep-interrupt bench-sweep bench-node fuzz-smoke simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-shard
 
 all: check
 
@@ -95,12 +95,15 @@ bench-node:
 # fuzz-smoke runs each native fuzz target briefly. FuzzBuddyDifferential
 # checks the buddy allocator against its map-based predecessor on decoded
 # operation sequences; FuzzSpecID checks the daemon's admission boundary
-# (typed rejection, canonical-spec fixed point). Minimization is capped so
+# (typed rejection, canonical-spec fixed point); FuzzLazySource checks
+# sim.Rand's lazily seeded source against math/rand's rand.NewSource over
+# seeds, draw counts and method mixes. Minimization is capped so
 # the budget goes to new inputs rather than to shrinking the ones already
 # found.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBuddyDifferential -fuzztime 10s -fuzzminimizetime 200x ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzSpecID -fuzztime 10s -fuzzminimizetime 200x ./internal/simd/
+	$(GO) test -run '^$$' -fuzz FuzzLazySource -fuzztime 10s -fuzzminimizetime 200x ./internal/sim/
 
 # simd-race runs the campaign daemon and chaos-injector tests under the race
 # detector (also part of the full `race` target).
@@ -146,11 +149,6 @@ shard-race:
 # and the 8-shard run must carry real cross-shard traffic.
 shard-determinism:
 	sh scripts/shard-determinism-check.sh /tmp/mkos-shard-det
-
-# bench-engine records raw engine dispatch throughput (events/s, B/op,
-# allocs/op) at exactly 1e6 and 1e7 events into results/BENCH_engine.json.
-bench-engine:
-	sh scripts/bench-engine.sh
 
 # bench-shard records the 158,976-node full-machine sharded FWQ run
 # (wall time at -shards 1 vs 8, window/barrier/cross-shard overhead) into

@@ -20,7 +20,7 @@ import (
 // simulation is parallelized. Node count and duration are scaled well below
 // the 158,976-node flagship run (cmd/fwq -shards covers that) so the stage
 // stays a small slice of the repro's budget.
-func runMachineStage(ctx context.Context, quick bool, shards int, outdir string, flushOps func() error) {
+func runMachineStage(ctx context.Context, quick bool, shards int, outdir string, flushHost func()) {
 	nodes, duration, worstK := 4096, 4*time.Second, 100
 	if quick {
 		nodes, duration, worstK = 256, 2*time.Second, 10
@@ -35,9 +35,7 @@ func runMachineStage(ctx context.Context, quick bool, shards int, outdir string,
 	res, sres, err := apps.FWQMachine(cfg)
 	if errors.Is(err, sim.ErrCanceled) {
 		log.Print("interrupted during the full-machine stage; no artifact written")
-		if ferr := flushOps(); ferr != nil {
-			log.Print(ferr)
-		}
+		flushHost()
 		os.Exit(130)
 	}
 	if err != nil {

@@ -10,6 +10,7 @@
 //
 //	repro              # full-scale run (several minutes)
 //	repro -quick       # reduced node counts and durations (~1 minute)
+//	repro -quick -cpuprofile cpu.pprof && go tool pprof -top cpu.pprof
 package main
 
 import (
@@ -50,6 +51,7 @@ func main() {
 	profilePath := flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
 	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	shards := flag.Int("shards", 4, "shard count for the full-machine FWQ stage (result is shard-count invariant)")
+	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this file (keep it outside -outdir)")
 	flag.Parse()
 
 	if *tracePath != "" {
@@ -65,6 +67,20 @@ func main() {
 	ctx, stopSignals := sweep.SignalContext(context.Background(), os.Stderr)
 	defer stopSignals()
 	ctx, flushOps := ops.TraceFile(ctx, *opsTrace)
+	stopProfile, err := ops.CPUProfile(*cpuProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// flushHost writes the host-side recordings, the ops trace and the CPU
+	// profile. Interrupted runs call it too: those are the ones worth
+	// inspecting.
+	flushHost := func() {
+		for _, flush := range []func() error{flushOps, stopProfile} {
+			if err := flush(); err != nil {
+				log.Print(err)
+			}
+		}
+	}
 
 	// runCampaign shards one stage's trials over the worker pool and folds
 	// the merged telemetry into the process-wide sink, so the -metrics and
@@ -76,9 +92,7 @@ func main() {
 		})
 		if errors.Is(err, sweep.ErrInterrupted) {
 			log.Printf("interrupted during campaign %s: %d trials unfinished; re-run with the same -cache-dir to resume", o.Name, o.Canceled)
-			if ferr := flushOps(); ferr != nil {
-				log.Print(ferr)
-			}
+			flushHost()
 			os.Exit(130)
 		}
 		if err != nil {
@@ -189,7 +203,7 @@ func main() {
 	runOpsStage(ctx, *quick)
 
 	// --- Full-machine sharded FWQ (Sec. 6.3 in-situ selection) ---
-	runMachineStage(ctx, *quick, *shards, *outdir, flushOps)
+	runMachineStage(ctx, *quick, *shards, *outdir, flushHost)
 
 	// --- Telemetry artifacts ---
 	for _, w := range []struct {
@@ -232,9 +246,7 @@ func main() {
 		fmt.Printf("fig %s  %-8s %-15s paper %-6s measured %.3f (at %d nodes)\n",
 			spec.Figure, spec.App, spec.Platform, paper[k], c.Relative, c.Nodes)
 	}
-	if err := flushOps(); err != nil {
-		log.Print(err)
-	}
+	flushHost()
 	fmt.Printf("\ndone in %v; data in %s/\n", time.Since(start).Round(time.Second), *outdir)
 }
 

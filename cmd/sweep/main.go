@@ -15,6 +15,7 @@
 //
 //	sweep -spec specs/ci-sweep.json [-j 8] [-cache-dir .sweepcache] [-outdir sweep-out]
 //	sweep -spec specs/table2.json -outdir out && cmp out/report.txt results/table2.txt
+//	sweep -spec specs/fault.json -cpuprofile cpu.pprof && go tool pprof -top cpu.pprof
 package main
 
 import (
@@ -46,9 +47,14 @@ func main() {
 	trialTimeout := flag.Duration("trial-timeout", 0, "fail any single trial exceeding this wall time (0 = no limit)")
 	retryFailed := flag.Bool("retry-failed", false, "re-run trials the campaign journal recorded as failed")
 	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this file (keep it outside -outdir)")
 	flag.Parse()
 	if *specPath == "" {
 		log.Fatal("provide -spec FILE (see specs/ci-sweep.json)")
+	}
+	stopProfile, err := ops.CPUProfile(*cpuProfile)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	spec, err := campaigns.LoadSpec(*specPath)
@@ -113,6 +119,9 @@ func main() {
 	fmt.Printf("campaign %s: %d trials: %d executed, %d cached, %d failed\n",
 		o.Name, len(o.Results), o.Executed, o.Cached, o.Failed)
 	fmt.Fprintf(os.Stderr, "sweep: artifacts in %s (elapsed %v)\n", *outdir, o.Elapsed.Round(o.Elapsed/100+time.Nanosecond))
+	if err := stopProfile(); err != nil {
+		log.Print(err)
+	}
 	if interrupted {
 		log.Printf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
 		os.Exit(130)

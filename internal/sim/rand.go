@@ -6,15 +6,27 @@ import (
 )
 
 // Rand is a deterministic random source with the distribution samplers the
-// OS-noise and workload models need. It wraps math/rand seeded explicitly;
-// nothing in this repository draws from a global or time-seeded source.
+// OS-noise and workload models need. Its draws are exactly those of
+// rand.New(rand.NewSource(seed)), but the source underneath is filled
+// lazily (see lazySource): a new stream costs one 80-byte allocation and
+// no seeding work, which matters because every node, core and noise source
+// derives its own stream and most draw only a handful of values. Nothing in
+// this repository draws from a global or time-seeded source.
+//
+// A Rand is used by pointer only and must not be copied: its rand.Rand
+// points at the source stored beside it.
 type Rand struct {
-	src *rand.Rand
+	src lazySource
+	rng rand.Rand
 }
 
 // NewRand returns a generator seeded with seed.
 func NewRand(seed int64) *Rand {
-	return &Rand{src: rand.New(rand.NewSource(seed))}
+	r := &Rand{}
+	r.src.Seed(seed)
+	//simlint:allow globalrand — the seed enters through NewRand(seed), and lazySource reproduces rand.NewSource(seed) bit for bit (TestLazySourceMatchesMathRand)
+	r.rng = *rand.New(&r.src)
+	return r
 }
 
 // Derive returns an independent generator for a labelled sub-stream. Node- or
@@ -52,7 +64,7 @@ func (r *Rand) DeriveSeed(stream int64) int64 {
 // which is what keeps sharded runs byte-identical to sequential ones.
 func (r *Rand) Skip(n int) {
 	for i := 0; i < n; i++ {
-		r.src.Int63()
+		r.src.Uint64()
 	}
 }
 
@@ -67,38 +79,38 @@ func (r *Rand) DeriveNamed(label string) *Rand {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+func (r *Rand) Float64() float64 { return r.rng.Float64() }
 
 // Intn returns a uniform value in [0, n).
-func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
+func (r *Rand) Intn(n int) int { return r.rng.Intn(n) }
 
 // Int63n returns a uniform value in [0, n).
-func (r *Rand) Int63n(n int64) int64 { return r.src.Int63n(n) }
+func (r *Rand) Int63n(n int64) int64 { return r.rng.Int63n(n) }
 
 // Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
+func (r *Rand) Perm(n int) []int { return r.rng.Perm(n) }
 
 // Uniform returns a value uniformly distributed in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.src.Float64()
+	return lo + (hi-lo)*r.rng.Float64()
 }
 
 // Exp returns an exponentially distributed value with the given mean.
 // Inter-arrival times of independent noise events are modelled this way.
 func (r *Rand) Exp(mean float64) float64 {
-	return r.src.ExpFloat64() * mean
+	return r.rng.ExpFloat64() * mean
 }
 
 // Normal returns a normally distributed value (mean, stddev), clamped at 0
 // from below when used for durations by callers that need non-negativity.
 func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.src.NormFloat64()
+	return mean + stddev*r.rng.NormFloat64()
 }
 
 // LogNormal returns exp(N(mu, sigma)). OS noise burst lengths are heavy
 // tailed; lognormal matches the FWQ trace shapes reported in the paper.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.src.NormFloat64())
+	return math.Exp(mu + sigma*r.rng.NormFloat64())
 }
 
 // LogNormalMeanCV returns a lognormal sample parameterized by its arithmetic
@@ -119,16 +131,16 @@ func (r *Rand) LogNormalMeanCV(mean, cv float64) float64 {
 // Pareto returns a Pareto(xm, alpha) sample: heavy-tailed, used for the rare
 // long noise events that dominate max-noise-length statistics.
 func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.src.Float64()
+	u := r.rng.Float64()
 	for u == 0 {
-		u = r.src.Float64()
+		u = r.rng.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
 
 // Bernoulli reports true with probability p.
 func (r *Rand) Bernoulli(p float64) bool {
-	return r.src.Float64() < p
+	return r.rng.Float64() < p
 }
 
 // DurationExp returns an exponentially distributed Duration with mean d.
