@@ -2,7 +2,7 @@ GO ?= go
 J ?= 0
 SWEEP_SPEC ?= specs/ci-sweep.json
 
-.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism results results-check sweep sweep-race sweep-determinism sweep-interrupt bench-sweep bench-node fuzz-smoke simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-shard
+.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism results results-check repro-determinism sweep sweep-race sweep-determinism sweep-interrupt bench-sweep bench-node fuzz-smoke simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-shard
 
 all: check
 
@@ -177,7 +177,14 @@ results:
 results-check:
 	sh scripts/results.sh check /tmp/mkos-results-check
 
+# repro-determinism is repro's byte-identity gate: `repro -quick` cold at
+# -j 1 (with -cpuprofile, -metrics and -trace), cold at -j 2 with a cache
+# dir, and warm on that cache must write identical outdirs, metrics and
+# cold-run traces, and the warm run must execute zero trials.
+repro-determinism:
+	sh scripts/repro-determinism-check.sh /tmp/mkos-repro-det
+
 # check is what CI runs: formatting, vet, the simlint invariant gate,
 # build, the full suite under the race detector, the determinism gates,
 # and the daemon chaos/load gates.
-check: fmt vet lint build race fuzz-smoke determinism results-check sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism
+check: fmt vet lint build race fuzz-smoke determinism results-check repro-determinism sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism

@@ -4,12 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mkos/internal/sweep"
+	"mkos/specs"
 )
 
 // TestMain doubles this test binary as the repro command: re-exec'd with
@@ -23,57 +27,85 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runStage1 runs repro -quick on args in a subprocess and interrupts it as
-// soon as stage [2/6] starts, by which point stage 1 has written
-// table2.txt. It returns that file's contents.
-func runStage1(t *testing.T, outdir string, args ...string) []byte {
-	t.Helper()
-	args = append([]string{"-quick", "-j", "1", "-outdir", outdir}, args...)
+// TestInterruptWritesProfileNoArtifacts: a SIGINT once the campaign has
+// started exits 130, still writes the -cpuprofile (interrupted runs are the
+// ones worth profiling), and leaves no partial artifacts in -outdir.
+func TestInterruptWritesProfileNoArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	outdir := filepath.Join(dir, "out")
+	prof := filepath.Join(dir, "cpu.pprof")
+	args := []string{"-quick", "-j", "1", "-outdir", outdir, "-cpuprofile", prof}
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "REPRO_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	stdout, err := cmd.StdoutPipe()
+	var stdout, log bytes.Buffer
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(stdout)
+	sc := bufio.NewScanner(stderr)
 	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "[2/6]") {
+		log.WriteString(sc.Text() + "\n")
+		if strings.HasPrefix(sc.Text(), "sweep repro: ") {
 			if err := cmd.Process.Signal(os.Interrupt); err != nil {
 				t.Fatal(err)
 			}
 			break
 		}
 	}
-	io.Copy(io.Discard, stdout)
-	// An interrupted repro exits 130 after flushing its host-side files.
+	io.Copy(&log, stderr)
 	var exit *exec.ExitError
-	if err := cmd.Wait(); err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 130) {
-		t.Fatalf("repro %v: %v\n%s", args, err, stderr.Bytes())
-	}
-	blob, err := os.ReadFile(filepath.Join(outdir, "table2.txt"))
-	if err != nil {
-		t.Fatalf("stage 1 artifact: %v\n%s", err, stderr.Bytes())
-	}
-	return blob
-}
-
-// TestCPUProfileLeavesArtifactsIdentical: -cpuprofile writes a profile
-// outside -outdir, also for an interrupted run, and stage 1's artifact is
-// byte-identical to a run without it.
-func TestCPUProfileLeavesArtifactsIdentical(t *testing.T) {
-	dir := t.TempDir()
-	prof := filepath.Join(dir, "cpu.pprof")
-	plain := runStage1(t, filepath.Join(dir, "plain"))
-	profiled := runStage1(t, filepath.Join(dir, "profiled"), "-cpuprofile", prof)
-	if !bytes.Equal(plain, profiled) {
-		t.Error("table2.txt differs with -cpuprofile")
+	if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 130 {
+		t.Fatalf("repro %v: %v, want exit 130\n%s%s", args, err, stdout.Bytes(), log.Bytes())
 	}
 	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
 		t.Fatalf("cpuprofile not written: %v", err)
+	}
+	entries, err := os.ReadDir(outdir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("interrupted run left artifact %s", e.Name())
+	}
+}
+
+// TestSharesCacheWithSpecRuns: the merged campaign keeps each spec's seeds,
+// so after every quick paper spec ran alone into a cache dir, as
+// `sweep -spec` runs it, repro on that cache executes no trial.
+func TestSharesCacheWithSpecRuns(t *testing.T) {
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	total := 0
+	for _, name := range specs.Paper {
+		s, err := specs.Load("quick/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Campaign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := sweep.Run(c, sweep.Options{Workers: 2, CacheDir: cache})
+		if err == nil {
+			err = o.FirstErr()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		total += len(c.Trials)
+	}
+	args := []string{"-quick", "-j", "2", "-outdir", filepath.Join(dir, "out"), "-cache-dir", cache}
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "REPRO_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("repro %v: %v\n%s", args, err, out)
+	}
+	if want := fmt.Sprintf("campaign repro: %d trials: 0 executed, %d cached, 0 failed\n", total, total); !bytes.Contains(out, []byte(want)) {
+		t.Fatalf("repro on the specs' cache did not print %q:\n%s", want, out)
 	}
 }

@@ -1,9 +1,9 @@
 // Command sweep runs a declarative simulation campaign: a JSON spec
 // enumerates trials from the paper's experiment families (application
 // figures, Table 2 countermeasures, Figure 3 noise series, interference
-// attribution, Figure 4 noise CDFs, fault-injection sweeps), and the
-// orchestrator shards them over a worker pool, reusing cached results for
-// trials whose inputs are unchanged. specs/ holds one spec per paper
+// attribution, Figure 4 noise CDFs, fault-injection sweeps, the full-machine
+// FWQ and the operational probe), and the orchestrator shards them over a
+// worker pool, reusing cached results for trials whose inputs are unchanged. specs/ holds one spec per paper
 // artifact; a complete run's report.txt is that artifact's results/*.txt.
 //
 // The deterministic artifacts — results.json, metrics.txt and report.txt —

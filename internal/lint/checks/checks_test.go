@@ -62,9 +62,11 @@ func TestOpsboundOpsAllowlist(t *testing.T) {
 
 // TestOpsboundCampaignsException checks the sweep carve-out: the
 // internal/sweep prefix is ops-allowed, but internal/sweep/campaigns
-// holds the deterministic trial units and stays bound.
+// holds the deterministic trial units and stays bound — by opsbound,
+// walltime and sinkdiscipline alike.
 func TestOpsboundCampaignsException(t *testing.T) {
-	linttest.Run(t, checks.Opsbound, "testdata/opsbound_campaigns", "mkos/internal/sweep/campaigns")
+	linttest.RunAnalyzers(t, []*analysis.Analyzer{checks.Opsbound, checks.Walltime, checks.Sinkdiscipline},
+		"testdata/opsbound_campaigns", "mkos/internal/sweep/campaigns")
 }
 
 // TestSuppressionHandling exercises the directive grammar and scoping

@@ -21,9 +21,9 @@ import (
 // Deterministic code records through internal/telemetry (sim-time sinks,
 // merged in key order); the orchestrator, daemon and CLIs own the ops
 // tracer and propagate it via context so instrumentation never leaks
-// downward. Note the sweep exception: internal/sweep is ops-side plumbing
-// and may import ops, but internal/sweep/campaigns holds the trial units
-// themselves and stays bound.
+// downward. internal/sweep is ops-side plumbing and may import ops, but
+// internal/sweep/campaigns holds the trial units themselves and stays bound
+// (see isOpsPackage).
 var Opsbound = &analysis.Analyzer{
 	Name: "opsbound",
 	Doc: "deterministic packages must not import internal/telemetry/ops; " +
@@ -43,10 +43,8 @@ func opsTelemetryImport(path string) bool {
 
 func runOpsbound(pass *analysis.Pass) error {
 	path := pass.Pkg.Path()
-	// Ops-side packages own the flight recorder — except the campaign
-	// specs under internal/sweep, which are trial units and stay
-	// deterministic even though their parent package is ops plumbing.
-	if isOpsPackage(path) && !fromPath(path, "internal/sweep/campaigns") {
+	// Ops-side packages own the flight recorder.
+	if isOpsPackage(path) {
 		return nil
 	}
 	// The ops package and its subpackages import each other freely.

@@ -16,13 +16,16 @@ import (
 // form (json.Marshal of the parsed spec, what admission persists and the id
 // hashes) is itself accepted with the same id and the same canonical bytes —
 // a fixed point, so recovery re-parsing a stored spec finds the campaign it
-// admitted. Seeds are the committed specs; testdata/fuzz/FuzzSpecID holds
-// malformed bodies.
+// admitted. Seeds are the committed specs, full-scale and quick;
+// testdata/fuzz/FuzzSpecID holds malformed bodies and edge cases of the
+// machine_fwq, operational and apps figure fields.
 func FuzzSpecID(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.json"))
-	if err != nil || len(paths) == 0 {
-		f.Fatalf("no seed specs: %v", err)
+	quick, qerr := filepath.Glob(filepath.Join("..", "..", "specs", "quick", "*.json"))
+	if err != nil || qerr != nil || len(paths) == 0 || len(quick) == 0 {
+		f.Fatalf("no seed specs: %d full-scale (%v), %d quick (%v)", len(paths), err, len(quick), qerr)
 	}
+	paths = append(paths, quick...)
 	for _, p := range paths {
 		raw, err := os.ReadFile(p)
 		if err != nil {

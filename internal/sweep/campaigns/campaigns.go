@@ -1,11 +1,12 @@
 // Package campaigns builds sweep.Campaign values for the repository's
 // experiment families — the Figure 5-7 application sweeps, the Table 2
 // countermeasure matrix, the Figure 3 noise series, the interference
-// attribution, the Figure 4 noise CDFs and the fault-injection degradation
-// curves — and renders their outcomes, one renderer per family, in the
-// formats of the committed results/*.txt files. cmd/repro and cmd/sweep (via
-// the declarative Spec) both shard these trial enumerations over the same
-// orchestrator and print them through the same renderers.
+// attribution, the Figure 4 noise CDFs, the fault-injection degradation
+// curves, the Sec. 6.3 full-machine FWQ and the operational probe — and
+// renders their outcomes, one renderer per family, in the formats of the
+// committed results/*.txt files. cmd/repro and cmd/sweep both reach them
+// through the declarative Spec, shard them over the same orchestrator and
+// print them through the same renderers.
 //
 // Every builder follows the same rules: trial keys are canonical and
 // zero-padded so key order equals presentation order, specs carry the full
@@ -26,7 +27,9 @@ import (
 	"mkos/internal/cluster"
 	"mkos/internal/core"
 	"mkos/internal/fault"
+	"mkos/internal/kernel"
 	"mkos/internal/linux"
+	"mkos/internal/mckernel"
 	"mkos/internal/noise"
 	"mkos/internal/sim"
 	"mkos/internal/sweep"
@@ -329,35 +332,149 @@ func runFaultPoint(t *sweep.T, s FaultPointSpec) (FaultPointResult, error) {
 	if s.OS == "mckernel" {
 		os = cluster.McKernel
 	}
-	rs, err := cluster.NewResilientScheduler(p, fault.NewInjector(s.Rates, s.Seed), cluster.DefaultRecoveryPolicy())
+	r, err := runBatch(t, p, s.Rates, "faultexp", 50, s.Nodes, os, s.Jobs, s.Seed)
 	if err != nil {
 		return FaultPointResult{}, err
 	}
+	return FaultPointResult{Report: *r, Text: r.String()}, nil
+}
+
+// runBatch submits jobs jobs of a strong-scaling workload (steps 5 ms steps
+// on nodes nodes, 4 ranks per node) to a resilient scheduler on p under
+// faults at rates (injector seed seed, job j seed*1000+j); terminal job
+// failures are part of the measurement. Its recovery engine is attached to
+// t, so a trial cancel stops it at a deterministic event boundary mid-job.
+func runBatch(t *sweep.T, p *cluster.Platform, rates fault.Rates, name string, steps, nodes int,
+	os cluster.OSKind, jobs int, seed int64) (*fault.FailureReport, error) {
 	g := bsp.Geometry{RanksPerNode: 4, ThreadsPerRank: 12}
 	if p.Name == "oakforest-pacs" {
-		g = bsp.Geometry{RanksPerNode: 4, ThreadsPerRank: 16}
+		g.ThreadsPerRank = 16
 	}
 	w := bsp.Workload{
-		Name: "faultexp", Scaling: bsp.StrongScaling, RefNodes: s.Nodes,
-		Steps: 50, StepCompute: 5 * time.Millisecond,
+		Name: name, Scaling: bsp.StrongScaling, RefNodes: nodes,
+		Steps: steps, StepCompute: 5 * time.Millisecond,
 		WorkingSetPerRank: 64 << 20, MemAccessPeriod: 100 * time.Nanosecond,
 	}
-	// The recovery engine can simulate arbitrarily long retry/backoff chains;
-	// hook it up to the trial's cancel flag so a campaign shutdown or trial
-	// deadline stops it at a deterministic event boundary mid-job.
+	rs, err := cluster.NewResilientScheduler(p, fault.NewInjector(rates, seed), cluster.DefaultRecoveryPolicy())
+	if err != nil {
+		return nil, err
+	}
 	t.AttachEngine(rs.Engine)
-	for j := 0; j < s.Jobs; j++ {
+	for j := 0; j < jobs; j++ {
 		if t.Canceled() {
-			return FaultPointResult{}, sweep.ErrTrialCanceled
+			return nil, sweep.ErrTrialCanceled
 		}
-		// Per-job seeds derive from the point seed; terminal failures are
-		// part of the measurement, not an error of the trial. An engine
-		// interrupt, by contrast, means the trial itself was canceled.
-		if _, err := rs.Submit(w, g, s.Nodes, os, s.Seed*1000+int64(j)); errors.Is(err, sim.ErrCanceled) {
-			return FaultPointResult{}, sweep.ErrTrialCanceled
+		if _, err := rs.Submit(w, g, nodes, os, seed*1000+int64(j)); errors.Is(err, sim.ErrCanceled) {
+			return nil, sweep.ErrTrialCanceled
 		}
 	}
-	return FaultPointResult{Report: *rs.Report, Text: rs.Report.String()}, nil
+	return rs.Report, nil
+}
+
+// --- Sec. 6.3 full-machine FWQ and the operational probe ----------------
+
+// MachineFWQKey and OperationalKey are the keys of the one-trial machine_fwq
+// and operational families.
+const (
+	MachineFWQKey  = "machine-fwq"
+	OperationalKey = "operational"
+)
+
+// runMachineFWQ runs the full-machine FWQ on Fugaku Linux, 6.5 ms quanta,
+// seed 42. The result does not depend on the shard count, so that is a
+// constant (capped at the node count), not part of the trial spec.
+func runMachineFWQ(t *sweep.T, m MachineFWQSection) (*apps.FWQMachineResult, error) {
+	const shards = 4
+	cfg, err := cluster.Fugaku().MachineFWQ(cluster.Linux, m.Nodes, 6500*time.Microsecond,
+		seconds(m.DurationSeconds), 42, min(shards, m.Nodes), m.WorstNodes)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Cancel = t.Canceled
+	res, _, err := apps.FWQMachine(cfg)
+	return res, err
+}
+
+// runOperational drives the event-driven machinery the closed-form figures
+// never touch, so the telemetry carries live sim/cluster/fault/mckernel
+// data: a fault-injected batch on the resilient OFP scheduler, a syscall
+// chain through the McKernel delegator, and the Linux-side attribution. The
+// payload is the rendered summary.
+func runOperational(t *sweep.T, jobs int) (string, error) {
+	const seed = 7
+	p := cluster.OFP()
+
+	// Rates high enough that a quarter-second job sees panics, hangs and
+	// OOM kills, so detection and recovery machinery runs.
+	rates := fault.Rates{
+		NodeCrashPerHour: 500, LWKPanicPerHour: 2000, LWKHangPerHour: 1000,
+		IHKReserveFailProb: 0.05, IKCTimeoutProb: 0.05, LWKOOMProb: 0.05,
+	}
+	r, err := runBatch(t, p, rates, "ops-probe", 40, 4, cluster.McKernel, jobs, seed)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "      batch: %d jobs, %d completed (%d fallback), %d failed, %d faults, %d retries\n",
+		r.Jobs, r.Completed, r.Fallbacks, r.Failed, r.TotalInjected(), r.Retries)
+
+	// One McKernel node, one thread, a mixed chain of LWK-local and
+	// Linux-offloaded calls driven to completion on the engine.
+	node, err := p.NewNodeAt(1, cluster.McKernel)
+	if err != nil {
+		return "", err
+	}
+	eng := sim.NewEngine()
+	t.AttachEngine(eng)
+	t.Sink.AttachEngine(eng)
+	d := mckernel.NewDelegator(node.LWK, eng)
+	proc, err := node.LWK.Spawn("ops-probe", 1)
+	if err != nil {
+		return "", err
+	}
+	th, err := node.LWK.Scheduler.Dispatch(proc.Threads[0].Core)
+	if err != nil {
+		return "", err
+	}
+	chain := []kernel.Syscall{
+		kernel.SysMmap, kernel.SysBrk, kernel.SysOpen, kernel.SysRead,
+		kernel.SysFutex, kernel.SysWrite, kernel.SysClose, kernel.SysGetpid,
+	}
+	var chainErr error
+	var issue func(i int)
+	issue = func(i int) {
+		if i >= len(chain) {
+			return
+		}
+		// A completed offload leaves the thread ready, not running: the LWK
+		// round-robin must dispatch it again before it can issue.
+		if th.State != mckernel.ThreadRunning {
+			if _, err := node.LWK.Scheduler.Dispatch(th.Core); err != nil {
+				chainErr = err
+				return
+			}
+		}
+		if err := d.Issue(th, chain[i], func(sim.Time) { issue(i + 1) }); err != nil {
+			chainErr = err
+		}
+	}
+	issue(0)
+	//simlint:allow ctxflow — trial unit: cancellation is t's engine cancel hook, attached above, not a ctx
+	if err := eng.Run(); err != nil {
+		return "", err
+	}
+	if chainErr != nil {
+		return "", chainErr
+	}
+	local, delegated, queueing := d.Stats()
+	fmt.Fprintf(&b, "      syscalls: %d LWK-local, %d offloaded to Linux (proxy queueing %v)\n", local, delegated, queueing)
+
+	// Replays the host noise profile through the ftrace model so per-task
+	// scheduling spans land on the trace.
+	if attr := node.Host.AttributeProfile(100*time.Millisecond, seed); len(attr) > 0 {
+		fmt.Fprintf(&b, "      linux ftrace: top interferer on app cores: %s\n", attr[0].Task)
+	}
+	return b.String(), nil
 }
 
 // slug lowercases a label into a key-safe token.

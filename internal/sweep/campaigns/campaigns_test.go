@@ -2,7 +2,9 @@ package campaigns_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -262,6 +264,13 @@ func TestParseSpecRejectsBadSpecs(t *testing.T) {
 		{"unknown countermeasure", `{"name":"x","figure3":{"countermeasures":["none","ipi"]}}`, false},
 		{"repeated countermeasure", `{"name":"x","figure3":{"countermeasures":["pmu","pmu"]}}`, false},
 		{"unknown attribution countermeasure", `{"name":"x","attribution":{"countermeasure":"all"}}`, false},
+		{"unknown machine_fwq field", `{"name":"x","machine_fwq":{"node":4}}`, true},
+		{"negative machine nodes", `{"name":"x","machine_fwq":{"nodes":-1}}`, false},
+		{"negative machine duration", `{"name":"x","machine_fwq":{"duration_seconds":-2}}`, false},
+		{"negative machine worst nodes", `{"name":"x","machine_fwq":{"worst_nodes":-5}}`, false},
+		{"negative operational jobs", `{"name":"x","operational":{"jobs":-1}}`, false},
+		{"unknown figure label", `{"name":"x","seeds":[1],"apps":[{"figure":"8","platform":"ofp","app":"LQCD","nodes":[8]}]}`, false},
+		{"explicit custom label", `{"name":"x","seeds":[1],"apps":[{"figure":"custom","platform":"ofp","app":"LQCD","nodes":[8]}]}`, false},
 	} {
 		spec, err := campaigns.ParseSpec([]byte(tc.spec))
 		if tc.parseErr {
@@ -279,5 +288,78 @@ func TestParseSpecRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := campaigns.ParseSpec([]byte(`{"name":"ok","figure3":{},"attribution":{}}`)); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
+// TestEngineTrialsHonorCancellation: the operational and machine_fwq trials,
+// at their default sizes, stop when the orchestrator cancels them. A
+// pre-canceled campaign is interrupted with no payload; a trial past its
+// deadline fails as timed out after unwinding, leaking no goroutine.
+func TestEngineTrialsHonorCancellation(t *testing.T) {
+	for _, tc := range []struct{ spec, key string }{
+		{`{"name":"operational","operational":{}}`, campaigns.OperationalKey},
+		{`{"name":"machine-fwq","machine_fwq":{}}`, campaigns.MachineFWQKey},
+	} {
+		spec, err := campaigns.ParseSpec([]byte(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := spec.Campaign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		o, err := sweep.RunContext(ctx, c, sweep.Options{Workers: 1})
+		if !errors.Is(err, sweep.ErrInterrupted) {
+			t.Fatalf("%s: pre-canceled run returned %v, want ErrInterrupted", tc.key, err)
+		}
+		var payload json.RawMessage
+		if err := o.Payload(tc.key, &payload); err == nil {
+			t.Fatalf("%s: pre-canceled run has a payload", tc.key)
+		}
+
+		o, err = sweep.Run(c, sweep.Options{Workers: 1, TrialTimeout: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Failed != 1 || o.TimedOut != 1 || o.Leaked != 0 {
+			t.Fatalf("%s: 1 ns deadline gave failed=%d timed_out=%d leaked=%d, want 1/1/0 (%v)",
+				tc.key, o.Failed, o.TimedOut, o.Leaked, o.FirstErr())
+		}
+	}
+}
+
+// TestMachineFWQReportMatchesDirectRun: the machine_fwq section's report is
+// the indented JSON of a direct apps.FWQMachine run with the same
+// parameters, at a different shard count than the trial uses.
+func TestMachineFWQReportMatchesDirectRun(t *testing.T) {
+	spec, err := campaigns.ParseSpec([]byte(`{"name":"m","machine_fwq":{"nodes":24,"duration_seconds":0.5,"worst_nodes":3}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, o := runArtifacts(t, c, 1)
+	got, err := spec.Report(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cluster.Fugaku().MachineFWQ(cluster.Linux, 24, 6500*time.Microsecond, 500*time.Millisecond, 42, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := apps.FWQMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(res, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("report differs from the direct run:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package campaigns
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -20,49 +21,60 @@ import (
 
 // Report renders the spec's text report from a complete outcome: one section
 // per family, in the paper's order (Table 2, Figure 3, attribution, Figure 4,
-// Figures 5-7 and custom apps, fault sweep). A spec with a single section
-// renders exactly that family's results/*.txt format.
+// Figures 5-7 and custom apps, fault sweep, operational probe, full-machine
+// FWQ). A spec with a single section renders exactly that family's artifact
+// format; the full-machine FWQ renders its result as indented JSON.
 func (s *Spec) Report(o *sweep.Outcome) ([]byte, error) {
 	var b bytes.Buffer
 	if s.Table2 != nil {
-		if err := WriteTable2(&b, o, s.Table2.Table2Config()); err != nil {
+		if err := writeTable2(&b, o, s.Table2.Table2Config()); err != nil {
 			return nil, err
 		}
 	}
 	if s.Figure3 != nil {
 		for _, cm := range s.Figure3.resolved().Countermeasures {
-			if err := WriteFigure3(&b, o, cm); err != nil {
+			if err := writeFigure3(&b, o, cm); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if s.Attribution != nil {
 		a := s.Attribution.resolved()
-		if err := WriteAttribution(&b, o, a.Countermeasure, seconds(a.DurationSeconds)); err != nil {
+		if err := writeAttribution(&b, o, a.Countermeasure, seconds(a.DurationSeconds)); err != nil {
 			return nil, err
 		}
 	}
 	if s.Figure4 != nil {
-		if err := WriteFigure4(&b, o, s.Figure4.Figure4Config(), s.Figure4.iterations()); err != nil {
+		if err := writeFigure4(&b, o, s.Figure4.Figure4Config(), s.Figure4.iterations()); err != nil {
 			return nil, err
 		}
 	}
-	figSpecs, err := s.figureSpecs()
+	figSpecs, err := s.FigureSpecs()
 	if err != nil {
 		return nil, err
 	}
-	WriteFigures(&b, o, figSpecs)
+	writeFigures(&b, o, figSpecs)
 	if s.Fault != nil {
-		if err := WriteFault(&b, o, *s.Fault); err != nil {
+		if err := writeFault(&b, o, *s.Fault); err != nil {
+			return nil, err
+		}
+	}
+	if s.Operational != nil {
+		if err := writeOperational(&b, o); err != nil {
+			return nil, err
+		}
+	}
+	if s.MachineFWQ != nil {
+		if err := writeMachineFWQ(&b, o); err != nil {
 			return nil, err
 		}
 	}
 	return b.Bytes(), nil
 }
 
-// WriteTable2 renders Table 2: every countermeasure row, measured beside
+// writeTable2 renders Table 2: every countermeasure row, measured beside
 // published.
-func WriteTable2(w io.Writer, o *sweep.Outcome, cfg core.Table2Config) error {
+func writeTable2(w io.Writer, o *sweep.Outcome, cfg core.Table2Config) error {
 	fmt.Fprintf(w, "Table 2: Effectiveness of individual noise elimination techniques\n")
 	fmt.Fprintf(w, "(simulated %d-node A64FX system, %.1f-minute FWQ runs, 6.5 ms quanta)\n\n", cfg.Nodes, cfg.Duration.Minutes())
 	fmt.Fprintf(w, "%-32s %18s %12s %14s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate", "Paper max(us)", "Paper rate")
@@ -84,8 +96,8 @@ func WriteTable2(w io.Writer, o *sweep.Outcome, cfg core.Table2Config) error {
 	return nil
 }
 
-// WriteFigure3 renders the Figure 3 noise-length series of countermeasure cm.
-func WriteFigure3(w io.Writer, o *sweep.Outcome, cm string) error {
+// writeFigure3 renders the Figure 3 noise-length series of countermeasure cm.
+func writeFigure3(w io.Writer, o *sweep.Outcome, cm string) error {
 	var lengths []time.Duration
 	if err := o.Payload(Figure3Key(cm), &lengths); err != nil {
 		return err
@@ -99,9 +111,9 @@ func WriteFigure3(w io.Writer, o *sweep.Outcome, cm string) error {
 	return nil
 }
 
-// WriteAttribution renders the per-source interference attribution of
+// writeAttribution renders the per-source interference attribution of
 // countermeasure cm over dur.
-func WriteAttribution(w io.Writer, o *sweep.Outcome, cm string, dur time.Duration) error {
+func writeAttribution(w io.Writer, o *sweep.Outcome, cm string, dur time.Duration) error {
 	var attr []linux.Attribution
 	if err := o.Payload(AttributionKey(cm), &attr); err != nil {
 		return err
@@ -116,8 +128,8 @@ func WriteAttribution(w io.Writer, o *sweep.Outcome, cm string, dur time.Duratio
 // figure4Points is the number of CDF points rendered per Figure 4 curve.
 const figure4Points = 40
 
-// WriteFigure4 renders the Figure 4 CDF curves, merged across iterations.
-func WriteFigure4(w io.Writer, o *sweep.Outcome, cfg core.Figure4Config, iterations int) error {
+// writeFigure4 renders the Figure 4 CDF curves, merged across iterations.
+func writeFigure4(w io.Writer, o *sweep.Outcome, cfg core.Figure4Config, iterations int) error {
 	curves, err := MergeFigure4(o, cfg, iterations)
 	if err != nil {
 		return err
@@ -134,10 +146,10 @@ func WriteFigure4(w io.Writer, o *sweep.Outcome, cfg core.Figure4Config, iterati
 	return nil
 }
 
-// WriteFigures renders one relative-performance panel per figure spec. A
+// writeFigures renders one relative-performance panel per figure spec. A
 // failed point renders as a FAILED line (the run's exit status reports it);
 // node counts above the app's maximum were never enumerated and are skipped.
-func WriteFigures(w io.Writer, o *sweep.Outcome, specs []core.FigureSpec) {
+func writeFigures(w io.Writer, o *sweep.Outcome, specs []core.FigureSpec) {
 	for _, spec := range specs {
 		fmt.Fprintf(w, "\n# Figure %s: %s on %s (relative performance, Linux = 1.0)\n",
 			spec.Figure, spec.App, spec.Platform)
@@ -158,10 +170,10 @@ func WriteFigures(w io.Writer, o *sweep.Outcome, specs []core.FigureSpec) {
 	}
 }
 
-// WriteFault renders the fault-injection degradation table for both kernel
+// writeFault renders the fault-injection degradation table for both kernel
 // configurations, then the full failure report of the McKernel point at the
 // last intensity.
-func WriteFault(w io.Writer, o *sweep.Outcome, sec FaultSection) error {
+func writeFault(w io.Writer, o *sweep.Outcome, sec FaultSection) error {
 	r := sec.resolved()
 	fmt.Fprintf(w, "fault-injection sweep: %s, %d jobs/point x %d nodes, seed %d\n",
 		platformName(r.Platform), r.Jobs, r.Nodes, r.Seed)
@@ -197,4 +209,28 @@ func WriteFault(w io.Writer, o *sweep.Outcome, sec FaultSection) error {
 	fmt.Fprintf(w, "failure report, heaviest McKernel point (%gx base rates):\n", r.Intensities[len(r.Intensities)-1])
 	fmt.Fprint(w, heaviest.Text)
 	return nil
+}
+
+// writeOperational renders the operational probe's summary.
+func writeOperational(w io.Writer, o *sweep.Outcome) error {
+	var text string
+	if err := o.Payload(OperationalKey, &text); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, text)
+	return err
+}
+
+// writeMachineFWQ renders the full-machine FWQ result as indented JSON.
+func writeMachineFWQ(w io.Writer, o *sweep.Outcome) error {
+	var r apps.FWQMachineResult
+	if err := o.Payload(MachineFWQKey, &r); err != nil {
+		return err
+	}
+	blob, err := json.MarshalIndent(r, "", " ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(blob, '\n'))
+	return err
 }

@@ -2,6 +2,7 @@ package campaigns
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -74,9 +75,9 @@ func FaultPoints(platform string, intensities []float64, base fault.Rates, jobs,
 	return out
 }
 
-// Spec is the declarative campaign description consumed by cmd/sweep: each
-// present section contributes its trial family to one combined campaign.
-// Durations are given in seconds so specs stay plain JSON.
+// Spec is the declarative campaign description consumed by cmd/sweep and
+// cmd/repro: each present section contributes its trial family to one
+// combined campaign. Durations are given in seconds so specs stay plain JSON.
 type Spec struct {
 	Name string `json:"name"`
 	Seed int64  `json:"seed"`
@@ -97,13 +98,18 @@ type Spec struct {
 	Attribution *AttributionSection `json:"attribution,omitempty"`
 	Figure4     *Figure4Section     `json:"figure4,omitempty"`
 	Fault       *FaultSection       `json:"fault,omitempty"`
+	MachineFWQ  *MachineFWQSection  `json:"machine_fwq,omitempty"`
+	Operational *OperationalSection `json:"operational,omitempty"`
 }
 
-// AppSection is one custom application sweep panel.
+// AppSection is one custom application sweep panel. A Figure label ("5",
+// "6" or "7"; empty means "custom") files it under that paper figure's
+// header and trial keys, so a spec can list a subset of a figure's nodes.
 type AppSection struct {
 	Platform string `json:"platform"` // "ofp"/"oakforest-pacs" or "fugaku"
 	App      string `json:"app"`
 	Nodes    []int  `json:"nodes"`
+	Figure   string `json:"figure,omitempty"`
 }
 
 // Table2Section configures the countermeasure matrix; zero fields fall back
@@ -152,6 +158,20 @@ type FaultSection struct {
 	Jobs        int       `json:"jobs,omitempty"`
 	Nodes       int       `json:"nodes,omitempty"`
 	Seed        int64     `json:"seed,omitempty"`
+}
+
+// MachineFWQSection configures the Sec. 6.3 full-machine FWQ with in-situ
+// worst-node selection; zero fields default to 4096 nodes, 4 s, worst 100.
+type MachineFWQSection struct {
+	Nodes           int     `json:"nodes,omitempty"`
+	DurationSeconds float64 `json:"duration_seconds,omitempty"`
+	WorstNodes      int     `json:"worst_nodes,omitempty"`
+}
+
+// OperationalSection configures the operational probe of the event-driven
+// machinery (see runOperational); Jobs defaults to 6.
+type OperationalSection struct {
+	Jobs int `json:"jobs,omitempty"`
 }
 
 // LoadSpec reads and validates a declarative campaign spec.
@@ -311,29 +331,31 @@ func checkCountermeasures(cms ...string) error {
 	return nil
 }
 
-// figureSpecs expands the Figures and Apps sections into figure panels, in
+// FigureSpecs expands the Figures and Apps sections into figure panels, in
 // spec order.
-func (s *Spec) figureSpecs() ([]core.FigureSpec, error) {
+func (s *Spec) FigureSpecs() ([]core.FigureSpec, error) {
 	var figSpecs []core.FigureSpec
 	for _, f := range s.Figures {
-		switch f {
-		case "5":
-			figSpecs = append(figSpecs, core.Figure5Specs()...)
-		case "6":
-			figSpecs = append(figSpecs, core.Figure6Specs()...)
-		case "7":
-			figSpecs = append(figSpecs, core.Figure7Specs()...)
-		default:
+		panels, ok := paperFigures[f]
+		if !ok {
 			return nil, fmt.Errorf("campaigns: unknown figure %q (want 5, 6 or 7)", f)
 		}
+		figSpecs = append(figSpecs, panels()...)
 	}
 	for _, a := range s.Apps {
-		p := platformName(a.Platform)
+		if _, ok := paperFigures[a.Figure]; !ok && a.Figure != "" {
+			return nil, fmt.Errorf("campaigns: app %s: unknown figure %q (want 5, 6, 7 or none)", a.App, a.Figure)
+		}
 		figSpecs = append(figSpecs, core.FigureSpec{
-			Figure: "custom", Platform: p, App: a.App, Nodes: a.Nodes,
+			Figure: cmp.Or(a.Figure, "custom"), Platform: platformName(a.Platform), App: a.App, Nodes: a.Nodes,
 		})
 	}
 	return figSpecs, nil
+}
+
+// paperFigures maps each paper figure label to its panels.
+var paperFigures = map[string]func() []core.FigureSpec{
+	"5": core.Figure5Specs, "6": core.Figure6Specs, "7": core.Figure7Specs,
 }
 
 // Campaign builds the combined campaign the spec describes. Trial keys are
@@ -341,7 +363,15 @@ func (s *Spec) figureSpecs() ([]core.FigureSpec, error) {
 func (s *Spec) Campaign() (*sweep.Campaign, error) {
 	c := &sweep.Campaign{Name: s.Name, Seed: s.Seed}
 
-	figSpecs, err := s.figureSpecs()
+	// Zero selects a default; a negative size is a typo, rejected before
+	// any trial runs.
+	if m := s.MachineFWQ; m != nil && (m.Nodes < 0 || m.DurationSeconds < 0 || m.WorstNodes < 0) {
+		return nil, fmt.Errorf("campaigns: machine_fwq: negative nodes, duration_seconds or worst_nodes in %+v", *m)
+	}
+	if o := s.Operational; o != nil && o.Jobs < 0 {
+		return nil, fmt.Errorf("campaigns: operational: negative jobs %d", o.Jobs)
+	}
+	figSpecs, err := s.FigureSpecs()
 	if err != nil {
 		return nil, err
 	}
@@ -375,6 +405,17 @@ func (s *Spec) Campaign() (*sweep.Campaign, error) {
 	}
 	if s.Fault != nil {
 		c.Trials = append(c.Trials, FaultSweep(s.Name, s.Fault.FaultSpecs(), s.Seed).Trials...)
+	}
+	if m := s.MachineFWQ; m != nil {
+		ms := MachineFWQSection{Nodes: cmp.Or(m.Nodes, 4096), DurationSeconds: cmp.Or(m.DurationSeconds, 4),
+			WorstNodes: cmp.Or(m.WorstNodes, 100)}
+		c.Trials = append(c.Trials, sweep.Trial{Key: MachineFWQKey, Spec: ms,
+			Run: func(t *sweep.T) (any, error) { return runMachineFWQ(t, ms) }})
+	}
+	if s.Operational != nil {
+		op := OperationalSection{Jobs: cmp.Or(s.Operational.Jobs, 6)}
+		c.Trials = append(c.Trials, sweep.Trial{Key: OperationalKey, Spec: op,
+			Run: func(t *sweep.T) (any, error) { return runOperational(t, op.Jobs) }})
 	}
 	if len(c.Trials) == 0 {
 		return nil, fmt.Errorf("campaigns: spec %q enumerates no trials", s.Name)

@@ -62,6 +62,10 @@ type Trial struct {
 	// JSON (it is cached and handed back to the merge step). Run executes
 	// with t.Sink installed as the goroutine's telemetry sink.
 	Run func(t *T) (any, error)
+
+	// seed, when set, is the seed Merge carried over from the trial's
+	// source campaign, used in place of the one its run campaign derives.
+	seed *int64
 }
 
 // T is the context handed to a running trial.
@@ -119,6 +123,24 @@ type Campaign struct {
 	Name   string
 	Seed   int64
 	Trials []Trial
+}
+
+// Merge concatenates campaigns into one campaign named name. Each trial
+// keeps the seed its source campaign derives for it, so it computes what it
+// computes there and shares that campaign's cache entries. Trial keys must
+// stay unique across the merged campaigns.
+func Merge(name string, cs ...*Campaign) *Campaign {
+	m := &Campaign{Name: name}
+	for _, c := range cs {
+		for _, t := range c.Trials {
+			if t.seed == nil {
+				s := DeriveSeed(c.Seed, t.Key)
+				t.seed = &s
+			}
+			m.Trials = append(m.Trials, t)
+		}
+	}
+	return m
 }
 
 // Options configures one campaign run.
@@ -217,6 +239,10 @@ type Outcome struct {
 	// Recorder holds the merged per-trial traces (Key order); nil unless
 	// Options.Trace was set.
 	Recorder *telemetry.Recorder
+	// Profiler merges the engine profilers of the trials this run executed,
+	// in completion order. Its handler wall times are host-side
+	// observations, like Ops.
+	Profiler *telemetry.Profiler
 	// Ops carries the non-deterministic operational metrics of the run
 	// itself: pool size and utilization, per-trial wall-time histogram,
 	// executed/cached/failed counters. Never merge it into Registry.
@@ -275,23 +301,6 @@ func (o *Outcome) FirstErr() error {
 		}
 	}
 	return nil
-}
-
-// MergeTelemetry folds the campaign's deterministic telemetry into sink: the
-// merged registry is added as a snapshot and, when tracing was on, the merged
-// trace buffer is appended to the sink's recorder. Commands use it to land
-// campaign telemetry in the process-wide sink before writing -metrics/-trace
-// artifacts.
-func (o *Outcome) MergeTelemetry(sink *telemetry.Sink) {
-	if sink == nil {
-		return
-	}
-	if o.Registry != nil {
-		sink.Registry().AddSnapshot(o.Registry.Snapshot())
-	}
-	if o.Recorder != nil {
-		sink.Recorder().MergeFrom(o.Recorder)
-	}
 }
 
 // ErrInterrupted is returned (wrapped) by RunContext when the context is
@@ -382,6 +391,7 @@ func RunContext(ctx context.Context, c *Campaign, opts Options) (*Outcome, error
 	if opts.Trace {
 		out.Recorder = telemetry.NewRecorder(0)
 	}
+	out.Profiler = telemetry.NewProfiler(nil)
 
 	// Probe the cache and journal, collecting the trials that still need to
 	// run. The cache goes first so a corrupt entry is noticed (and
@@ -413,6 +423,9 @@ func RunContext(ctx context.Context, c *Campaign, opts Options) (*Outcome, error
 	_, probeSpan := ops.Start(ctx, "probe")
 	for i, t := range trials {
 		seed := DeriveSeed(c.Seed, t.Key)
+		if t.seed != nil {
+			seed = *t.seed
+		}
 		if cache != nil {
 			hashes[i], _ = cache.entryHash(t, seed)
 			if r, ok := cache.load(t, seed); ok {
@@ -445,9 +458,13 @@ func RunContext(ctx context.Context, c *Campaign, opts Options) (*Outcome, error
 		// Each trial gets its own Perfetto lane: concurrent trials overlap
 		// in wall time, so they must not share a track.
 		tctx, span := ops.StartTrack(ctx, "trial", ops.Arg{Key: "key", Val: t.Key})
-		res, rec, status := runTrial(tctx, t, results[i].Seed, opts)
+		res, sink, status := runTrial(tctx, t, results[i].Seed, opts)
 		span.End(ops.Arg{Key: "status", Val: statusLabel(status, res)})
-		results[i], recorders[i], statuses[i] = res, rec, status
+		results[i], statuses[i] = res, status
+		if sink != nil {
+			recorders[i] = sink.Recorder()
+			out.Profiler.MergeFrom(sink.Profiler())
+		}
 		if opts.Heartbeat != nil {
 			opts.Heartbeat()
 		}
@@ -548,7 +565,7 @@ const maxPanicStack = 4096
 // abandoned — it keeps running detached on its isolated sink, the worker
 // records the leak and moves on. That is the last-resort trade the pool
 // makes to keep draining when a trial ignores every cooperative signal.
-func runTrial(ctx context.Context, t Trial, seed int64, opts Options) (TrialResult, *telemetry.Recorder, trialStatus) {
+func runTrial(ctx context.Context, t Trial, seed int64, opts Options) (TrialResult, *telemetry.Sink, trialStatus) {
 	sink := telemetry.NewSink()
 	if opts.Trace {
 		sink.Recorder().Enable()
@@ -590,22 +607,22 @@ func runTrial(ctx context.Context, t Trial, seed int64, opts Options) (TrialResu
 		timeoutCh = timer.C
 	}
 
-	finish := func(o outcome) (TrialResult, *telemetry.Recorder, trialStatus) {
+	finish := func(o outcome) (TrialResult, *telemetry.Sink, trialStatus) {
 		res.Wall = time.Since(started)
 		res.Metrics = sink.Snapshot()
 		if o.err != nil {
 			res.Err = o.err.Error()
-			return res, sink.Recorder(), statusDone
+			return res, sink, statusDone
 		}
 		if o.payload != nil {
 			blob, merr := json.Marshal(o.payload)
 			if merr != nil {
 				res.Err = fmt.Sprintf("encoding payload: %v", merr)
-				return res, sink.Recorder(), statusDone
+				return res, sink, statusDone
 			}
 			res.Payload = blob
 		}
-		return res, sink.Recorder(), statusDone
+		return res, sink, statusDone
 	}
 
 	grace := opts.CancelGrace
@@ -654,7 +671,7 @@ func runTrial(ctx context.Context, t Trial, seed int64, opts Options) (TrialResu
 		res.Wall = time.Since(started)
 		res.Metrics = sink.Snapshot()
 		res.Err = fmt.Sprintf("trial timed out after %v: %v", opts.TrialTimeout, o.err)
-		return res, sink.Recorder(), statusTimedOut
+		return res, sink, statusTimedOut
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mkos/internal/sim"
 	"mkos/internal/sweep"
 	"mkos/internal/telemetry"
 )
@@ -199,5 +200,75 @@ func TestOpsRegistrySeparation(t *testing.T) {
 	}
 	if strings.Contains(dump.String(), "sweep.") {
 		t.Fatalf("ops metrics leaked into the deterministic registry:\n%s", dump.String())
+	}
+}
+
+// TestOutcomeMergesEngineProfiles: the engine profilers of executed trials
+// reach Outcome.Profiler, the report a command writes under -profile.
+func TestOutcomeMergesEngineProfiles(t *testing.T) {
+	c := &sweep.Campaign{Name: "prof"}
+	for i := 0; i < 3; i++ {
+		c.Trials = append(c.Trials, sweep.Trial{
+			Key: fmt.Sprintf("prof/%d", i), Spec: i,
+			Run: func(t *sweep.T) (any, error) {
+				e := sim.NewEngine()
+				t.Sink.AttachEngine(e)
+				e.Schedule(1, "step", func(*sim.Engine) {})
+				return nil, e.Run()
+			},
+		})
+	}
+	o, err := sweep.Run(c, sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Profiler.Fired(); got != 3 {
+		t.Fatalf("profiled %d events, want 3", got)
+	}
+}
+
+// TestMergeKeepsSourceSeeds: a merged trial runs with the seed its source
+// campaign derives, so it shares that campaign's cache entries.
+func TestMergeKeepsSourceSeeds(t *testing.T) {
+	seedTrials := func(family string, seed int64) *sweep.Campaign {
+		c := &sweep.Campaign{Name: family, Seed: seed}
+		for i := 0; i < 3; i++ {
+			c.Trials = append(c.Trials, sweep.Trial{
+				Key: fmt.Sprintf("%s/%d", family, i), Spec: i,
+				Run: func(t *sweep.T) (any, error) { return t.Seed, nil },
+			})
+		}
+		return c
+	}
+	a, b := seedTrials("a", 1), seedTrials("b", 7)
+	cache := t.TempDir()
+	for _, c := range []*sweep.Campaign{a, b} {
+		if _, err := sweep.Run(c, sweep.Options{Workers: 2, CacheDir: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := sweep.Merge("merged", a, b)
+	if len(m.Trials) != 6 || m.Name != "merged" {
+		t.Fatalf("merged campaign %q has %d trials, want 6", m.Name, len(m.Trials))
+	}
+	for _, opts := range []sweep.Options{{Workers: 2}, {Workers: 2, CacheDir: cache}} {
+		o, err := sweep.Run(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.CacheDir != "" && (o.Cached != 6 || o.Executed != 0) {
+			t.Errorf("merged run on the sources' cache: %d cached, %d executed, want 6 and 0", o.Cached, o.Executed)
+		}
+		for _, c := range []*sweep.Campaign{a, b} {
+			for _, tr := range c.Trials {
+				var got int64
+				if err := o.Payload(tr.Key, &got); err != nil {
+					t.Fatal(err)
+				}
+				if want := sweep.DeriveSeed(c.Seed, tr.Key); got != want {
+					t.Errorf("%s ran with seed %d, want its source campaign's %d", tr.Key, got, want)
+				}
+			}
+		}
 	}
 }

@@ -22,7 +22,7 @@ func sweep(t *testing.T) (metrics, trace string) {
 	t.Helper()
 	old := telemetry.SetDefault(telemetry.NewSink())
 	defer telemetry.SetDefault(old)
-	telemetry.EnableTrace()
+	telemetry.Default().Recorder().Enable()
 
 	p := cluster.OFP()
 	rates := fault.Rates{

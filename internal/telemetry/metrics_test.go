@@ -172,11 +172,9 @@ func TestDefaultSinkHelpers(t *testing.T) {
 	if reg.CounterValue("x") != 1 {
 		t.Fatal("C did not hit the default registry")
 	}
+	Default().Recorder().Enable()
 	if !TraceEnabled() {
-		EnableTrace()
-	}
-	if !TraceEnabled() {
-		t.Fatal("EnableTrace did not enable the default recorder")
+		t.Fatal("TraceEnabled does not see the default recorder enabled")
 	}
 	// Reset installs a fresh sink: old metrics gone, tracing off again.
 	Reset()

@@ -82,6 +82,30 @@ func (p *Profiler) ObserveEvent(label string, at sim.Time, wall sim.Duration, pe
 // Attach registers the profiler as the engine's observer.
 func (p *Profiler) Attach(e *sim.Engine) { e.SetObserver(p) }
 
+// MergeFrom adds o's per-label aggregates, event count and queue high-water
+// into p. The deterministic mirrors are left alone: registries merge
+// through snapshots, so counting here as well would count twice.
+func (p *Profiler) MergeFrom(o *Profiler) {
+	if o == nil || o == p {
+		return
+	}
+	stats, fired, hwm := o.Stats(), o.Fired(), o.QueueHighWater()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range stats {
+		d := p.byLabel[s.Label]
+		if d == nil {
+			d = &HandlerStats{Label: s.Label}
+			p.byLabel[s.Label] = d
+		}
+		d.Count += s.Count
+		d.Wall += s.Wall
+		d.MaxWall = max(d.MaxWall, s.MaxWall)
+	}
+	p.fired += fired
+	p.depthHWM = max(p.depthHWM, hwm)
+}
+
 // Fired returns the total events observed.
 func (p *Profiler) Fired() int64 {
 	p.mu.Lock()

@@ -87,3 +87,27 @@ func TestProfilerReport(t *testing.T) {
 		t.Fatalf("report:\n%s", out)
 	}
 }
+
+// TestProfilerMergeFrom: merging sums per-label counts and walls, keeps the
+// larger maxima and high-water, and leaves the target's registry mirrors
+// alone (registries merge through snapshots).
+func TestProfilerMergeFrom(t *testing.T) {
+	reg := NewRegistry()
+	dst, src := NewProfiler(reg), NewProfiler(nil)
+	dst.ObserveEvent("tick", 0, 2*time.Microsecond, 1)
+	src.ObserveEvent("tick", 0, 5*time.Microsecond, 4)
+	src.ObserveEvent("tock", 0, time.Microsecond, 0)
+	dst.MergeFrom(src)
+	dst.MergeFrom(nil)
+	if dst.Fired() != 3 || dst.QueueHighWater() != 4 {
+		t.Fatalf("fired %d hwm %d, want 3 and 4", dst.Fired(), dst.QueueHighWater())
+	}
+	stats := dst.Stats()
+	if len(stats) != 2 || stats[0].Label != "tick" || stats[0].Count != 2 ||
+		stats[0].Wall != 7*time.Microsecond || stats[0].MaxWall != 5*time.Microsecond {
+		t.Fatalf("merged stats %+v", stats)
+	}
+	if reg.CounterValue("sim.events_fired") != 1 {
+		t.Fatalf("mirror counted merged events: %d", reg.CounterValue("sim.events_fired"))
+	}
+}
